@@ -72,7 +72,6 @@ constexpr size_t kFrames = 512;
 constexpr uint64_t kDbPages = 4096;
 constexpr uint64_t kHotDbPages = 8;
 constexpr double kWriteFraction = 0.05;
-constexpr size_t kStripes = 8;
 
 struct Cell {
   std::string pool;
@@ -209,7 +208,6 @@ std::unique_ptr<ReplacementPolicy> MakeLru2(size_t capacity) {
 BufferPoolOptions CellOptions(size_t batch, bool optimistic) {
   BufferPoolOptions options;
   options.batch_capacity = batch;
-  options.batch_stripes = batch == 0 ? 1 : kStripes;
   options.optimistic_hits = optimistic;
   return options;
 }

@@ -85,9 +85,8 @@ BufferPool::BufferPool(size_t capacity, DiskManager* disk,
     options_.batch_capacity = 64;
   }
   if (options_.batch_capacity > 0) {
-    access_buffer_ = std::make_unique<AccessBuffer>(
-        options_.batch_capacity,
-        options_.batch_stripes == 0 ? 1 : options_.batch_stripes);
+    // One ring tail per hardware thread (AccessBuffer::AutoStripeCount).
+    access_buffer_ = std::make_unique<AccessBuffer>(options_.batch_capacity);
   }
   if (options_.io_dispatcher) {
     if (shared_dispatcher != nullptr) {
@@ -284,6 +283,13 @@ Result<FrameId> BufferPool::AcquireFrame(
   for (size_t i = nominees.size(); i-- > 0;) {
     if (i != used) policy_->Restore(nominees[i]);
   }
+  // EvictBatch deferred the consumed victim's side effects (LRU-K's
+  // history retention). Settle them now rather than at the Admit that
+  // normally follows: a failed miss read or an abandoned prefetch returns
+  // the frame unused, and no Admit comes. Nothing touches the policy
+  // between here and that Admit on the happy path, so this is the same
+  // state the Admit's own settle would produce.
+  policy_->SettleEvictions();
   return result;
 }
 
@@ -343,6 +349,17 @@ void BufferPool::FencePageLocked(std::unique_lock<std::mutex>& guard,
     }
     return;
   }
+}
+
+bool BufferPool::WaitForBusyFramesLocked(std::unique_lock<std::mutex>& guard) {
+  // Without a dispatcher every read completes under the latch, so a frame
+  // is either free or mapped whenever the latch is free.
+  if (io_ == nullptr) return false;
+  const size_t reserved = capacity_ - page_table_.size() - free_frames_.size();
+  if (reserved == 0 && flusher_cleaning_.empty()) return false;
+  // Every read completion, prefetch abandon and flusher clean notifies.
+  quiesce_cv_.wait(guard);
+  return true;
 }
 
 void BufferPool::QuiesceLocked(std::unique_lock<std::mutex>& guard) {
@@ -763,6 +780,8 @@ Result<Page*> BufferPool::FetchPage(PageId p, AccessType type,
   // its miss when it starts waiting, then resolves through the hit branch
   // or the primary path below without recounting).
   bool counted = false;
+  std::vector<PageId> deferred;
+  FrameId frame = 0;
   for (;;) {
     FrameId f = 0;
     if (page_table_.Find(p, &f)) {
@@ -830,21 +849,20 @@ Result<Page*> BufferPool::FetchPage(PageId p, AccessType type,
         std::unique_ptr<char[]> image = std::move(parked->second);
         parked_victims_.erase(parked);
         DrainAccessBufferLocked();
-        std::vector<PageId> deferred;
-        auto frame = AcquireFrame(&deferred);
-        if (!frame.ok()) {
+        auto acquired = AcquireFrame(&deferred);
+        if (!acquired.ok()) {
           parked_victims_.emplace(p, std::move(image));  // Still parked.
           guard.unlock();
           LaunchDeferredVictimWrites(deferred);
-          return frame.status();
+          return acquired.status();
         }
-        Page& page = frames_[*frame];
+        Page& page = frames_[*acquired];
         std::memcpy(page.Data(), image.get(), kPageSize);
         page.id_ = p;
         page.pin_count_.fetch_add(1);  // Never a store; see below.
         page.dirty_.store(true, std::memory_order_relaxed);
-        page_table_.Insert(p, *frame);
-        frame_prefetched_[*frame].store(0, std::memory_order_relaxed);
+        page_table_.Insert(p, *acquired);
+        frame_prefetched_[*acquired].store(0, std::memory_order_relaxed);
         policy_->Restore(p);
         policy_->RecordAccess(p, type);
         if (!optimistic_) policy_->SetEvictable(p, false);
@@ -881,20 +899,34 @@ Result<Page*> BufferPool::FetchPage(PageId p, AccessType type,
         continue;
       }
     }
-    break;
+
+    if (!counted) {
+      ++stats_.misses;
+      counted = true;
+    }
+    if (observable != nullptr) *observable = true;  // A demand miss.
+    // Deferred references precede this fault in the reference string;
+    // apply them before the policy sees the admission (and before any
+    // eviction decision, which must act on a fully drained view).
+    DrainAccessBufferLocked();
+    policy_->PrepareAdmit(p);
+    auto acquired = AcquireFrame(&deferred);
+    if (acquired.ok()) {
+      frame = *acquired;
+      break;
+    }
+    // Nothing deferred on failure. A failed write-back surfaces as is.
+    // Frames held by in-flight reads or flusher cleans come back when
+    // that I/O completes: wait for it and re-examine p (another thread
+    // may have admitted it meanwhile) instead of failing a fetch that
+    // only raced background work.
+    if (acquired.status().code() != StatusCode::kResourceExhausted ||
+        !WaitForBusyFramesLocked(guard)) {
+      return acquired.status();
+    }
   }
 
-  if (!counted) ++stats_.misses;
-  if (observable != nullptr) *observable = true;  // A demand miss.
-  // Deferred references precede this fault in the reference string; apply
-  // them before the policy sees the admission (and before any eviction
-  // decision, which must act on a fully drained view).
-  DrainAccessBufferLocked();
-  policy_->PrepareAdmit(p);
-  std::vector<PageId> deferred;
-  auto frame = AcquireFrame(&deferred);
-  if (!frame.ok()) return frame.status();  // Nothing deferred on failure.
-  Page& page = frames_[*frame];
+  Page& page = frames_[frame];
   Status read;
   if (io_ != nullptr) {
     // Register in the tracker, release the latch, and run the read through
@@ -927,7 +959,7 @@ Result<Page*> BufferPool::FetchPage(PageId p, AccessType type,
     // The page was never admitted: the policy has no entry for p, the
     // page table is untouched, and the frame (legitimately freed by a
     // completed eviction, or taken from the free list) goes back unused.
-    free_frames_.push_back(*frame);
+    free_frames_.push_back(frame);
     return read;
   }
   page.id_ = p;
@@ -936,8 +968,8 @@ Result<Page*> BufferPool::FetchPage(PageId p, AccessType type,
   // after failing validation), and a blind store would erase that.
   page.pin_count_.fetch_add(1);
   page.dirty_.store(type == AccessType::kWrite, std::memory_order_relaxed);
-  page_table_.Insert(p, *frame);
-  frame_prefetched_[*frame].store(0, std::memory_order_relaxed);
+  page_table_.Insert(p, frame);
+  frame_prefetched_[frame].store(0, std::memory_order_relaxed);
   policy_->Admit(p, type);
   if (!optimistic_) policy_->SetEvictable(p, false);
   std::vector<PageId> targets;

@@ -16,11 +16,17 @@
 // pool's lifetime, so concurrent readers are safe; concurrent writers to
 // the same page must coordinate among themselves (as with per-page latches
 // in a real DBMS). For multi-core scaling, ShardedBufferPool composes
-// several of these pools behind the same PoolInterface,
-// BufferPoolOptions::batch_capacity moves the policy-bookkeeping half of
-// the hit path out of the latch hold (latch-free AccessBuffer, drained in
-// batches), and BufferPoolOptions::optimistic_hits takes the latch off
-// warm hits and unpins entirely (see below).
+// several of these pools behind the same PoolInterface.
+//
+// The default hit path is latch-free: warm hits and unpins take no latch
+// at all (BufferPoolOptions::optimistic_hits, see below), and the
+// reference each hit owes the policy is published to an AccessBuffer with
+// one ring per hardware thread and applied in batches under the latch
+// (BufferPoolOptions::batch_capacity). Only misses, admissions, flushes
+// and deletes serialize on the latch. Setting optimistic_hits = false and
+// batch_capacity = 0 selects the exact latched path, where every hit
+// applies RecordAccess under the latch; differential tests use it as
+// their reference, and wall-clock LRU-K needs it.
 //
 // Optimistic hit protocol (DESIGN.md "Optimistic page table & pin
 // protocol"): with optimistic_hits on, a hit is — probe the version-
@@ -61,22 +67,20 @@ namespace lruk {
 // Knobs shared by BufferPool and (per shard) ShardedBufferPool.
 struct BufferPoolOptions {
   // Batched access recording (DESIGN.md "Batched access recording").
+  // >=1 (default 64) — hits enqueue an AccessRecord into a latch-free
+  //     AccessBuffer of this per-stripe capacity (rounded up to a power of
+  //     two), with one stripe per hardware thread
+  //     (AccessBuffer::AutoStripeCount); the buffer is drained in
+  //     per-stripe FIFO order under the latch when a stripe fills, before
+  //     any admission/eviction/removal, and on flush/stats calls.
+  //     Single-threaded, the policy sees the exact same call sequence as
+  //     batch_capacity = 0 (drains preserve order), so replacement
+  //     behaviour is identical; multi-threaded, a reference may be applied
+  //     up to one buffer-capacity late.
   // 0 — disabled: every hit applies ReplacementPolicy::RecordAccess under
-  //     the pool latch, today's exact semantics.
-  // >=1 — hits enqueue an AccessRecord into a latch-free AccessBuffer of
-  //     this per-stripe capacity (rounded up to a power of two) after the
-  //     latch is released; the buffer is drained in FIFO order under the
-  //     latch when a stripe fills, before any admission/eviction/removal,
-  //     and on flush/stats calls. Single-threaded, the policy sees the
-  //     exact same call sequence as batch_capacity = 0 (drains preserve
-  //     order), so replacement behaviour is identical; multi-threaded, a
-  //     reference may be applied up to one buffer-capacity late.
-  size_t batch_capacity = 0;
-  // Number of independent rings inside the AccessBuffer. 1 =
-  // one shared ring per pool/shard; >= the thread count approximates a
-  // per-thread buffer (uncontended per-stripe producer mutex, per-stripe
-  // rather than global FIFO).
-  size_t batch_stripes = 1;
+  //     the pool latch. Only meaningful together with optimistic_hits =
+  //     false (the exact latched path, see below).
+  size_t batch_capacity = 64;
   // Bounded retry of transient (kIoError) disk read/write failures before
   // the error surfaces to the caller. Off by default (max_attempts = 1);
   // see util/retry.h. The retry runs under the pool latch — size the
@@ -84,19 +88,25 @@ struct BufferPoolOptions {
   RetryOptions io_retry;
 
   // Latch-free hit path (DESIGN.md "Optimistic page table & pin
-  // protocol"). Off (default): hits and unpins take the pool latch.
-  // On: warm hits and unpins run entirely without the latch (optimistic
-  // version-validated page-table probe + atomic pin counts), falling back
-  // to the latched path on any miss or instability. Implies batching:
-  // batch_capacity is bumped to 64 if left 0, because a latch-free hit
-  // can only publish its reference through the AccessBuffer. Replacement
-  // behaviour is byte-identical to the latched path single-threaded;
-  // concurrently, references to pages evicted before the next drain are
-  // dropped and counted (access_drops — bounded staleness, same contract
-  // as batching). Composes with readahead: the voting detector's Observe
-  // is wait-free, so a latch-free hit feeds it directly and only an
-  // actual stride trigger (or a due flusher pass) touches the latch.
-  bool optimistic_hits = false;
+  // protocol"). On (default): warm hits and unpins run entirely without
+  // the latch (optimistic version-validated page-table probe + atomic pin
+  // counts), falling back to the latched path on any miss or instability.
+  // A latch-free hit can only publish its reference through the
+  // AccessBuffer, so batch_capacity is bumped to 64 if set to 0.
+  // Replacement behaviour is byte-identical to the latched path
+  // single-threaded; concurrently, references to pages evicted before the
+  // next drain are dropped and counted (access_drops — bounded staleness,
+  // same contract as batching). Composes with readahead: the voting
+  // detector's Observe is wait-free, so a latch-free hit feeds it directly
+  // and only an actual stride trigger (or a due flusher pass) touches the
+  // latch.
+  // Off, together with batch_capacity = 0: the exact latched path — every
+  // hit and unpin takes the pool latch and applies RecordAccess /
+  // SetEvictable in reference order. Differential tests use it as their
+  // reference, and LRU-K with a wall-clock time source (LruKOptions::
+  // clock) needs it: a deferred reference would be stamped at drain time,
+  // not at the time it happened (DESIGN.md "Batched access recording").
+  bool optimistic_hits = true;
 
   // --- Async I/O dispatcher (DESIGN.md "Async I/O dispatcher") ---
   // Master switch: miss reads execute through an IoDispatcher with the
@@ -242,6 +252,11 @@ class BufferPool final : public PoolInterface {
   AccessBufferStats access_buffer_stats() const {
     auto guard = Lock();
     return access_buffer_ ? access_buffer_->stats() : AccessBufferStats{};
+  }
+  // Stripes in the batching buffer (AccessBuffer::AutoStripeCount); 0
+  // when batching is disabled.
+  size_t access_buffer_stripes() const {
+    return access_buffer_ ? access_buffer_->stripe_count() : 0;
   }
 
   // --- Async I/O dispatcher surface (no-ops unless io_dispatcher) ---
@@ -450,6 +465,12 @@ class BufferPool final : public PoolInterface {
   void FencePageLocked(std::unique_lock<std::mutex>& guard, PageId p);
   // Quiesce body; caller holds `guard`.
   void QuiesceLocked(std::unique_lock<std::mutex>& guard);
+  // A demand miss found every frame pinned. If some frame is only held by
+  // I/O in flight (a read between AcquireFrame and its admission, or a
+  // flusher clean), waits for the next completion and returns true so the
+  // caller retries; returns false when the exhaustion is real. Caller
+  // holds `guard`.
+  bool WaitForBusyFramesLocked(std::unique_lock<std::mutex>& guard);
   // Registers a prefetch of `p` in the tracker if it is neither resident
   // nor in flight; returns whether registered. Caller holds the latch.
   bool RegisterPrefetchLocked(PageId p);

@@ -63,13 +63,13 @@ class ShardedBufferPool final : public PoolInterface {
   // two, <= capacity). `disk` must outlive the pool and be thread-safe.
   // `factory` is invoked once per shard as factory(shard_index,
   // shard_capacity) and must return a fresh policy each time.
-  // `shard_options` is applied to every shard; batch_capacity > 0 turns
-  // on batched access recording per shard (each shard drains its own
-  // AccessBuffer under its own latch — see DESIGN.md "Batched access
-  // recording"). optimistic_hits makes every shard's warm hits and unpins
-  // latch-free (the pool-level readahead detector still observes the full
-  // fetch stream here, above the shards, so readahead and the optimistic
-  // fast path compose).
+  // `shard_options` is applied to every shard. Its defaults make every
+  // shard's warm hits and unpins latch-free (optimistic_hits), with
+  // references batched into a per-shard AccessBuffer that each shard
+  // drains under its own latch (batch_capacity — see DESIGN.md "Batched
+  // access recording"). The pool-level readahead detector observes the
+  // full fetch stream here, above the shards, so readahead and the
+  // optimistic fast path compose.
   ShardedBufferPool(size_t capacity, size_t num_shards, DiskManager* disk,
                     ShardPolicyFactory factory,
                     BufferPoolOptions shard_options = {});

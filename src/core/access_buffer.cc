@@ -1,5 +1,8 @@
 #include "core/access_buffer.h"
 
+#include <algorithm>
+#include <thread>
+
 namespace lruk {
 
 namespace {
@@ -30,6 +33,15 @@ AccessBuffer::AccessBuffer(size_t capacity, size_t stripes)
     stripes_.push_back(std::make_unique<Stripe>(rounded));
   }
   scratch_.reserve(rounded);
+}
+
+size_t AccessBuffer::AutoStripeCount() {
+  static const size_t count = [] {
+    size_t threads = std::thread::hardware_concurrency();  // 0 if unknown.
+    return std::min(RoundUpPowerOfTwo(std::max<size_t>(threads, 1)),
+                    kMaxAutoStripes);
+  }();
+  return count;
 }
 
 size_t AccessBuffer::ThreadIndex() {

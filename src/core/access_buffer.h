@@ -10,10 +10,11 @@
 // stripe's atomic tail (wait-free), then acquires its cell by CAS-ing the
 // cell's sequence number from `ticket` to `ticket | kClaimedBit`, writes
 // the `(page, process, access_type)` record, and publishes it with a
-// release store of `ticket + 1`. No mutex anywhere on the push path. With
-// `stripes == 1` the buffer is shared per pool (per shard); with more
-// stripes each thread hashes to its own ring, so `stripes` at or above the
-// expected thread count makes even the ticket fetch_add uncontended.
+// release store of `ticket + 1`. No mutex anywhere on the push path.
+// Threads are spread over the stripes by a per-thread index, so with at
+// least as many stripes as concurrent threads even the ticket fetch_add is
+// uncontended. The pools size their buffers with AutoStripeCount(): one
+// ring tail per hardware thread.
 //
 // Because claim and publish are no longer serialized, a producer preempted
 // between them leaves a *gap*: records published behind it by other
@@ -94,11 +95,17 @@ class AccessBuffer {
  public:
   // `capacity` (>= 1) is the per-stripe record count at which TryPush
   // starts refusing; the physical ring is the next power of two (min 2).
-  // `stripes` >= 1; threads are spread across stripes by a per-thread id,
-  // so stripes >= the expected thread count approximates one buffer per
-  // thread.
-  explicit AccessBuffer(size_t capacity, size_t stripes = 1);
+  // `stripes` >= 1; threads are spread across stripes by a per-thread id
+  // handed out in first-push order, so up to `stripes` threads pushing
+  // concurrently each get a ring of their own.
+  explicit AccessBuffer(size_t capacity, size_t stripes = AutoStripeCount());
   LRUK_DISALLOW_COPY_AND_MOVE(AccessBuffer);
+
+  // The stripe count the pools use: the next power of two at or above
+  // std::thread::hardware_concurrency() (1 when unknown), capped at
+  // kMaxAutoStripes. Computed once per process.
+  static size_t AutoStripeCount();
+  static constexpr size_t kMaxAutoStripes = 16;
 
   // Enqueue into the calling thread's stripe: one fetch_add to claim a
   // ticket, one CAS to acquire the cell, one release store to publish.

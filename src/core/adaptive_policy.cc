@@ -100,6 +100,10 @@ size_t AdaptivePolicy::EvictBatch(size_t k, std::vector<PageId>* out) {
   return n;
 }
 
+void AdaptivePolicy::SettleEvictions() {
+  for (AdaptiveExpert& e : experts_) e.live->SettleEvictions();
+}
+
 void AdaptivePolicy::BookVictim(PageId v) {
   for (size_t i = 0; i < experts_.size(); ++i) {
     if (i != active_) experts_[i].live->Remove(v);

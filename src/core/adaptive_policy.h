@@ -108,6 +108,7 @@ class AdaptivePolicy final : public ReplacementPolicy {
   void Admit(PageId p, AccessType type) override;
   std::optional<PageId> Evict() override;
   size_t EvictBatch(size_t k, std::vector<PageId>* out) override;
+  void SettleEvictions() override;
   void Restore(PageId p) override;
   void Remove(PageId p) override;
   void SetEvictable(PageId p, bool evictable) override;

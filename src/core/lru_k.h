@@ -125,10 +125,13 @@ class LruKPolicy final : public ReplacementPolicy {
   // "Wait-free publish & batched nomination"). History retention for the
   // nominees is *deferred*: nothing enters the non-resident index (or
   // burns the max_nonresident_history budget) until the next
-  // Evict/EvictBatch/Admit/Remove call flushes the still-evicted nominees.
+  // Evict/EvictBatch/Admit/Remove/SettleEvictions call flushes the
+  // still-evicted nominees.
   // A nominee Restored before that flush therefore round-trips with zero
   // retained-history churn — the whole point of batched nomination.
   size_t EvictBatch(size_t k, std::vector<PageId>* out) override;
+  // Flushes the deferred retention now (FlushDeferredEvictions).
+  void SettleEvictions() override { FlushDeferredEvictions(); }
   // Exact un-evict: re-marks the page resident against its retained
   // history block, without ticking the clock — a failed write-back leaves
   // the policy byte-identical to the pre-Evict state. If the block was

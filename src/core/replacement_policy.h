@@ -102,6 +102,14 @@ class ReplacementPolicy {
     return out->size();
   }
 
+  // Applies whatever EvictBatch deferred for the nominees that stayed
+  // evicted, so the policy is in the state the equivalent Evict() calls
+  // would have left. Callers that consumed a nominee but will not follow
+  // it with an Admit (a miss whose read failed) must call this; Evict,
+  // EvictBatch, Admit and Remove settle implicitly. Default: no-op, for
+  // policies whose EvictBatch defers nothing.
+  virtual void SettleEvictions() {}
+
   // Re-registers a page Evict() returned, because the eviction's side
   // effects failed (the dirty write-back errored) or were provisional (a
   // flusher peek; a write-behind victim write still in flight).

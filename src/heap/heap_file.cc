@@ -1,6 +1,7 @@
 #include "heap/heap_file.h"
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 namespace lruk {
@@ -71,7 +72,7 @@ HeapFile::HeapFile(PoolInterface* pool, PageId head)
   while (current != kInvalidPageId) {
     auto guard = PageGuard::Fetch(*pool_, current);
     LRUK_ASSERT(guard.ok(), "heap chain page unreadable");
-    const char* data = guard->Data();
+    const char* data = std::as_const(*guard).Data();
     const HeapPageHeader* header = Header(data);
     const Slot* slots = SlotArray(data);
     for (uint32_t s = 0; s < header->slot_count; ++s) {
@@ -169,7 +170,7 @@ Result<RecordId> HeapFile::Insert(std::string_view record) {
 Result<std::string> HeapFile::Get(const RecordId& rid) {
   auto guard = PageGuard::Fetch(*pool_, rid.page);
   if (!guard.ok()) return guard.status();
-  const char* data = guard->Data();
+  const char* data = std::as_const(*guard).Data();
   const HeapPageHeader* header = Header(data);
   const Slot* slots = SlotArray(data);
   if (rid.slot >= header->slot_count || slots[rid.slot].length == 0) {
@@ -244,7 +245,7 @@ Status HeapFile::Scan(
   while (current != kInvalidPageId) {
     auto guard = PageGuard::Fetch(*pool_, current);
     if (!guard.ok()) return guard.status();
-    const char* data = guard->Data();
+    const char* data = std::as_const(*guard).Data();
     const HeapPageHeader* header = Header(data);
     const Slot* slots = SlotArray(data);
     for (uint32_t s = 0; s < header->slot_count; ++s) {
@@ -266,7 +267,7 @@ Result<uint64_t> HeapFile::CountPages() {
     auto guard = PageGuard::Fetch(*pool_, current);
     if (!guard.ok()) return guard.status();
     ++count;
-    current = Header(guard->Data())->next_page;
+    current = Header(std::as_const(*guard).Data())->next_page;
   }
   return count;
 }

@@ -61,7 +61,6 @@ TEST_P(AdaptiveConcurrencyTest, RegretAccountingHoldsUnderChurn) {
 
   ShardedBufferPool pool(kFrames, kShards, &disk, *factory,
                          BufferPoolOptions{.batch_capacity = batch_capacity,
-                                           .batch_stripes = 4,
                                            .optimistic_hits = true});
 
   std::vector<PageId> pages = AllocateDb(pool, kDbPages);

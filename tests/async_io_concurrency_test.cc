@@ -326,7 +326,6 @@ TEST(AsyncIoConcurrencyTest, FaultChurnKeepsPlainPoolInvariants) {
   options.flusher_batch = 4;
   options.readahead = {.enabled = true, .window = 4, .min_run = 3};
   options.batch_capacity = 64;
-  options.batch_stripes = 8;
 
   BufferPoolStats stats;
   {

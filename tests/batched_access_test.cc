@@ -4,7 +4,8 @@
 // Three layers of coverage:
 //  * AccessBuffer unit tests — striped ring mechanics: fill/refusal,
 //    FIFO drain through RecordAccessBatch, process forwarding, capacity
-//    rounding, multi-stripe accounting.
+//    rounding, multi-stripe accounting, the automatic stripe count, and
+//    concurrent producers landing on distinct stripes.
 //  * Differential tests — on a deterministic single-threaded trace, a
 //    batched pool (capacity 1 and 64) must be byte-identical to the
 //    unbatched pool: same hit/miss/eviction/write-back counters, same
@@ -12,10 +13,11 @@
 //    preserve reference order, so batching must not change replacement
 //    behaviour at all when there is no concurrency.
 //  * Concurrency churn (TSan target) — 8 threads over a sharded pool with
-//    batch capacity 8 and 64: hit+miss totals stay exact, and after a
-//    draining observation point every shard's LRU-K clock plus its counted
-//    access_drops equals its fetches + admissions — i.e. every buffered
-//    reference was either applied or accounted as a drop, never lost.
+//    batch capacity 8 and 64, on the latched and the latch-free hit path:
+//    hit+miss totals stay exact, and after a draining observation point
+//    every shard's LRU-K clock plus its counted access_drops equals its
+//    fetches + admissions — i.e. every buffered reference was either
+//    applied or accounted as a drop, never lost.
 //  * Wraparound hammer (TSan/ASan target) — 8 producers push through a
 //    tiny single-stripe ring (thousands of laps) against a concurrent
 //    drainer: exact totals, per-thread FIFO, no duplicates.
@@ -24,6 +26,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "bufferpool/buffer_pool.h"
@@ -164,6 +167,37 @@ TEST(BatchedAccessBufferTest, MultiStripePushesAllSurviveADrain) {
   }
 }
 
+TEST(BatchedAccessBufferTest, PoolsSizeStripesFromTheHardware) {
+  const size_t stripes = AccessBuffer::AutoStripeCount();
+  EXPECT_GE(stripes, 1u);
+  EXPECT_LE(stripes, AccessBuffer::kMaxAutoStripes);
+  EXPECT_EQ(stripes & (stripes - 1), 0u);  // A power of two.
+  const size_t threads = std::thread::hardware_concurrency();
+  if (threads > 0 && threads <= AccessBuffer::kMaxAutoStripes) {
+    // The smallest power of two covering every hardware thread.
+    EXPECT_GE(stripes, threads);
+    EXPECT_LT(stripes / 2, threads);
+  }
+
+  SimDiskManager disk;
+  auto lru2 = [](size_t, size_t) {
+    return std::make_unique<LruKPolicy>(LruKOptions{.k = 2});
+  };
+  BufferPool plain(8, &disk, lru2(0, 8), BufferPoolOptions{});
+  EXPECT_EQ(plain.access_buffer_stripes(), stripes);
+  ShardedBufferPool sharded(16, /*num_shards=*/4, &disk, lru2,
+                            BufferPoolOptions{});
+  for (size_t i = 0; i < sharded.shard_count(); ++i) {
+    EXPECT_EQ(sharded.shard(i).access_buffer_stripes(), stripes);
+  }
+  // The exact latched path allocates no buffer at all.
+  BufferPoolOptions latched;
+  latched.optimistic_hits = false;
+  latched.batch_capacity = 0;
+  BufferPool unbatched(8, &disk, lru2(0, 8), latched);
+  EXPECT_EQ(unbatched.access_buffer_stripes(), 0u);
+}
+
 TEST(BatchedAccessBufferTest, SkipNonResidentDropsAreCountedNotApplied) {
   // Policy that only considers even pages resident; a skip_non_resident
   // drain must apply those and count (never apply) the rest.
@@ -191,6 +225,36 @@ TEST(BatchedAccessBufferTest, SkipNonResidentDropsAreCountedNotApplied) {
   EXPECT_EQ(buffer.Drain(policy, /*skip_non_resident=*/true, &dropped), 1u);
   EXPECT_EQ(dropped, 0u);
   EXPECT_EQ(buffer.stats().dropped_records, 3u);
+}
+
+TEST(BatchedStripeConcurrencyTest, ConcurrentProducersLandOnDistinctStripes) {
+  // One record per stripe: a second push into any stripe is refused, so N
+  // concurrent first-time producers that all succeed used N distinct
+  // stripes.
+  const size_t stripes = AccessBuffer::AutoStripeCount();
+  for (size_t n = 1; n <= stripes; ++n) {
+    SCOPED_TRACE(::testing::Message() << n << " producers");
+    AccessBuffer buffer(/*capacity=*/1);
+    ASSERT_EQ(buffer.stripe_count(), stripes);
+    std::atomic<size_t> ready{0};
+    std::atomic<size_t> pushed{0};
+    std::vector<std::thread> producers;
+    for (size_t t = 0; t < n; ++t) {
+      producers.emplace_back([&, t] {
+        // Start together, so all n threads are alive at once.
+        ready.fetch_add(1);
+        while (ready.load() < n) std::this_thread::yield();
+        if (buffer.TryPush({static_cast<PageId>(t), 0, AccessType::kRead})) {
+          pushed.fetch_add(1);
+        }
+      });
+    }
+    for (auto& p : producers) p.join();
+    EXPECT_EQ(pushed.load(), n);
+    EXPECT_EQ(buffer.stats().full_pushes, 0u);
+    LoggingPolicy policy;
+    EXPECT_EQ(buffer.Drain(policy), n);
+  }
 }
 
 TEST(BatchedAccessBufferTest, WraparoundHammerKeepsExactTotalsAndFifo) {
@@ -291,11 +355,12 @@ INSTANTIATE_TEST_SUITE_P(CapacityOneAndSixtyFour, BatchedDifferentialTest,
 // ---------------------------------------------------------------------------
 // Multi-threaded churn (run under TSan/ASan by the sanitizer CI matrix).
 
+// Parameters: {batch capacity, latch-free hit path}.
 class BatchedAccessConcurrencyTest
-    : public ::testing::TestWithParam<size_t> {};
+    : public ::testing::TestWithParam<std::tuple<size_t, bool>> {};
 
 TEST_P(BatchedAccessConcurrencyTest, NoReferenceIsLostUnderChurn) {
-  const size_t batch_capacity = GetParam();
+  const auto [batch_capacity, latch_free] = GetParam();
   constexpr size_t kFrames = 256;
   constexpr size_t kShards = 4;
   constexpr uint64_t kChurnDbPages = 1024;
@@ -307,7 +372,7 @@ TEST_P(BatchedAccessConcurrencyTest, NoReferenceIsLostUnderChurn) {
   ASSERT_TRUE(factory.ok());
   ShardedBufferPool pool(kFrames, kShards, &disk, *factory,
                          BufferPoolOptions{.batch_capacity = batch_capacity,
-                                           .batch_stripes = 4});
+                                           .optimistic_hits = latch_free});
 
   std::vector<PageId> pages = AllocateDb(pool, kChurnDbPages);
   std::vector<uint64_t> admits_per_shard(kShards, 0);
@@ -362,7 +427,8 @@ TEST_P(BatchedAccessConcurrencyTest, NoReferenceIsLostUnderChurn) {
 
 INSTANTIATE_TEST_SUITE_P(CapacityEightAndSixtyFour,
                          BatchedAccessConcurrencyTest,
-                         ::testing::Values<size_t>(8, 64));
+                         ::testing::Combine(::testing::Values<size_t>(8, 64),
+                                            ::testing::Bool()));
 
 }  // namespace
 }  // namespace lruk

@@ -106,6 +106,7 @@ class RecordingPolicy final : public ReplacementPolicy {
     evictions_.insert(evictions_.end(), out->begin(), out->end());
     return n;
   }
+  void SettleEvictions() override { inner_->SettleEvictions(); }
   void Restore(PageId p) override {
     auto it = std::find(evictions_.rbegin(), evictions_.rend(), p);
     ASSERT_TRUE(it != evictions_.rend());

@@ -28,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bufferpool/buffer_pool.h"
@@ -641,6 +642,10 @@ struct SweepPoint {
   uint64_t seed = 0;
   double fault_rate = 0.0;
   PoolKind kind = PoolKind::kPlain;
+  // Hit path: the latch-free default, or the exact latched path.
+  bool latch_free = true;
+  // A small access ring (8 per stripe) instead of the hit path's default:
+  // none on the latched path, 64 on the latch-free one.
   bool batched = false;
 };
 
@@ -661,9 +666,11 @@ SweepResult RunSweepPoint(const SweepPoint& point) {
   FaultInjectingDiskManager disk(&inner, point.seed);
 
   BufferPoolOptions options;
+  options.optimistic_hits = point.latch_free;
   if (point.batched) {
     options.batch_capacity = 8;
-    options.batch_stripes = 1;
+  } else if (!point.latch_free) {
+    options.batch_capacity = 0;
   }
   if (point.seed % 2 == 1) {
     options.io_retry.max_attempts = 2;  // Null sleep: immediate re-issue.
@@ -795,17 +802,21 @@ SweepResult RunSweepPoint(const SweepPoint& point) {
 
 TEST(FaultSweepTest, GridOfSeedsRatesPoolsAndBatching) {
   const double kRates[] = {0.0, 0.05, 0.15, 0.3};
+  // Hit-path x batching cells: {latch_free, batched}.
+  const std::pair<bool, bool> kPaths[] = {
+      {false, false}, {false, true}, {true, false}, {true, true}};
   int points = 0;
   int faulted_points = 0;
   for (uint64_t seed = 1; seed <= 13; ++seed) {
     for (double rate : kRates) {
       for (PoolKind kind : {PoolKind::kPlain, PoolKind::kSharded}) {
-        for (bool batched : {false, true}) {
-          SweepPoint point{seed * 7919, rate, kind, batched};
+        for (auto [latch_free, batched] : kPaths) {
+          SweepPoint point{seed * 7919, rate, kind, latch_free, batched};
           SCOPED_TRACE(::testing::Message()
                        << "seed=" << point.seed << " rate=" << rate
                        << " kind=" << (kind == PoolKind::kPlain ? "plain"
                                                                 : "sharded")
+                       << " latch_free=" << latch_free
                        << " batched=" << batched);
           SweepResult first = RunSweepPoint(point);
           if (::testing::Test::HasFatalFailure()) return;
@@ -829,8 +840,8 @@ TEST(FaultSweepTest, GridOfSeedsRatesPoolsAndBatching) {
     }
   }
   EXPECT_GE(points, 200);  // The acceptance bar: >= 200 grid points.
-  EXPECT_EQ(points, 13 * 4 * 2 * 2);
-  EXPECT_EQ(faulted_points, 13 * 3 * 2 * 2);
+  EXPECT_EQ(points, 13 * 4 * 2 * 4);
+  EXPECT_EQ(faulted_points, 13 * 3 * 2 * 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -847,7 +858,6 @@ TEST(FaultConcurrencyTest, ConcurrentFaultsPreserveShardInvariants) {
   FaultInjectingDiskManager disk(&inner, /*seed=*/0xFA17ED);
   BufferPoolOptions options;
   options.batch_capacity = 8;
-  options.batch_stripes = 8;
   options.io_retry.max_attempts = 2;
   auto factory = [](size_t, size_t shard_capacity) {
     LruKOptions o{.k = 2};

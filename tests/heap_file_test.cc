@@ -3,6 +3,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bufferpool/buffer_pool.h"
 #include "core/lru.h"
@@ -170,6 +171,39 @@ TEST_F(HeapFileTest, ReattachRecoversSizeAndTail) {
   auto rid = reattached.Insert("after reattach");
   ASSERT_TRUE(rid.ok());
   EXPECT_EQ(*reattached.Get(*rid), "after reattach");
+}
+
+TEST_F(HeapFileTest, ReadOnlyAccessLeavesPagesClean) {
+  std::vector<RecordId> rids;
+  PageId head;
+  {
+    HeapFile heap(&pool_);
+    for (int i = 0; i < 12; ++i) {
+      auto rid = heap.Insert(std::string(1000, static_cast<char>('a' + i)));
+      ASSERT_TRUE(rid.ok());
+      rids.push_back(*rid);
+    }
+    head = heap.HeadPageId();
+  }
+  ASSERT_TRUE(pool_.FlushAll().ok());
+  const uint64_t writes_before = disk_.stats().writes;
+
+  // Re-attach, point reads, a full scan and a page count: reads only.
+  HeapFile heap(&pool_, head);
+  for (const RecordId& rid : rids) ASSERT_TRUE(heap.Get(rid).ok());
+  int seen = 0;
+  ASSERT_TRUE(heap.Scan([&](RecordId, std::string_view) {
+                    ++seen;
+                    return true;
+                  }).ok());
+  EXPECT_EQ(seen, 12);
+  auto pages = heap.CountPages();
+  ASSERT_TRUE(pages.ok());
+  EXPECT_GT(*pages, 1u);
+
+  // No page was dirtied, so there is nothing to write back.
+  ASSERT_TRUE(pool_.FlushAll().ok());
+  EXPECT_EQ(disk_.stats().writes, writes_before);
 }
 
 TEST_F(HeapFileTest, RandomizedAgainstModel) {

@@ -59,7 +59,6 @@ TEST(OptimisticConcurrencyTest, HotPageHammerStaysCoherent) {
   BufferPoolOptions options;
   options.optimistic_hits = true;
   options.batch_capacity = 64;
-  options.batch_stripes = 8;
   BufferPool pool(8, &disk,
                   std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);
   std::vector<PageId> pages = AllocateDb(pool, 8);
@@ -157,7 +156,6 @@ TEST(OptimisticConcurrencyTest, MixedChurnKeepsPlainPoolInvariants) {
   BufferPoolOptions options;
   options.optimistic_hits = true;
   options.batch_capacity = 64;
-  options.batch_stripes = 8;
   options.io_dispatcher = true;
   options.io_workers = 4;
   options.io_queue_depth = 32;
@@ -208,8 +206,7 @@ TEST(OptimisticConcurrencyTest, DeleteReuseChurnUnderOptimisticReaders) {
 
   SimDiskManager disk;
   BufferPoolOptions options;
-  options.optimistic_hits = true;  // batch_capacity auto-bumps to 64.
-  options.batch_stripes = 8;
+  options.optimistic_hits = true;
   BufferPool pool(16, &disk,
                   std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);
   std::vector<PageId> initial = AllocateDb(pool, kSlots);
@@ -279,7 +276,6 @@ TEST(OptimisticConcurrencyTest, ShardedChurnComposesWithPoolReadahead) {
   BufferPoolOptions options;
   options.optimistic_hits = true;
   options.batch_capacity = 64;
-  options.batch_stripes = 8;
   options.io_dispatcher = true;
   options.io_workers = 4;
   options.io_queue_depth = 32;

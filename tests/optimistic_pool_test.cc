@@ -13,9 +13,10 @@
 //    same 20k-op mixed workload async_io_test.cc uses: same counters, same
 //    victim sequence, same IoStats, same residency, same disk images —
 //    with the async stack (inline dispatcher + flusher) off and on, and
-//    with the auto-bumped default batch_capacity.
+//    with batch_capacity 64 (the default) and an explicit 0 bumped to 64.
 //  * Zero-mutex hit — a warm optimistic fetch/unpin pair acquires the pool
-//    latch ZERO times, asserted via the latch_acquires counter.
+//    latch ZERO times, asserted via the latch_acquires counter, including
+//    with default-constructed options on both pool shapes.
 //  * Readahead interaction — readahead and the optimistic fast path
 //    compose on both pool shapes (the voting detector's Observe is
 //    wait-free), staying byte-identical to the latched pool with the
@@ -173,7 +174,7 @@ TEST(OptimisticPageTableTest, UnlockErasedRemovesTheMapping) {
 // byte-identical single-threaded. Workload and scaffolding live in
 // differential_harness.h (shared with async_io_test.cc and
 // batched_access_test.cc); this suite runs it with batch_capacity 64 —
-// the auto-bump default optimistic mode implies.
+// the default, and what an explicit 0 is bumped to in optimistic mode.
 
 DiffScenarioResult RunScenario(DiffScenarioConfig config) {
   if (config.batch_capacity == 0) config.batch_capacity = 64;
@@ -233,8 +234,8 @@ TEST(OptimisticDifferentialTest, MatchesLatchedPathUnderAsyncStack) {
 }
 
 TEST(OptimisticDifferentialTest, DefaultBatchAutoBumpMatchesExplicit) {
-  // optimistic_hits with batch_capacity left 0 implies batch_capacity 64
-  // (a latch-free hit can only publish through the AccessBuffer).
+  // optimistic_hits with batch_capacity set to 0 is bumped to 64 (a
+  // latch-free hit can only publish through the AccessBuffer).
   DiffScenarioResult defaulted =
       RunDiffScenario({.batch_capacity = 0, .optimistic = true});
   DiffScenarioResult explicit_batch =
@@ -244,6 +245,7 @@ TEST(OptimisticDifferentialTest, DefaultBatchAutoBumpMatchesExplicit) {
   SimDiskManager disk;
   BufferPoolOptions options;
   options.optimistic_hits = true;
+  options.batch_capacity = 0;
   BufferPool pool(8, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
                   options);
   EXPECT_EQ(pool.options().batch_capacity, 64u);
@@ -347,6 +349,30 @@ TEST(OptimisticHitPathTest, WarmHitStaysLatchFreeWithReadaheadOn) {
   EXPECT_EQ(after.optimistic_hits - before.optimistic_hits, kLoops);
   EXPECT_EQ(after.prefetch_issued, before.prefetch_issued);
   EXPECT_EQ(after.optimistic_fallbacks, before.optimistic_fallbacks);
+}
+
+TEST(OptimisticHitPathTest, DefaultOptionsServeWarmHitsWithoutTheLatch) {
+  // The latch-free path is the default: BufferPoolOptions{} alone serves a
+  // warm fetch + unpin with zero latch acquisitions, on both pool shapes.
+  SimDiskManager disk;
+  auto lru2 = [](size_t, size_t) {
+    return std::make_unique<LruKPolicy>(LruKOptions{.k = 2});
+  };
+  BufferPool plain(16, &disk, lru2(0, 16), BufferPoolOptions{});
+  ShardedBufferPool sharded(16, /*num_shards=*/4, &disk, lru2,
+                            BufferPoolOptions{});
+  for (PoolInterface* pool : {static_cast<PoolInterface*>(&plain),
+                              static_cast<PoolInterface*>(&sharded)}) {
+    std::vector<PageId> pages = AllocateDb(*pool, 4);
+    BufferPoolStats before = pool->StatsSnapshot();
+    auto page = pool->FetchPage(pages[0]);
+    ASSERT_TRUE(page.ok());
+    ASSERT_TRUE(pool->UnpinPage(pages[0], false).ok());
+    BufferPoolStats after = pool->StatsSnapshot();
+    EXPECT_EQ(after.latch_acquires, before.latch_acquires);
+    EXPECT_EQ(after.optimistic_hits - before.optimistic_hits, 1u);
+    EXPECT_EQ(after.hits - before.hits, 1u);
+  }
 }
 
 TEST(OptimisticHitPathTest, StatsSnapshotMatchesStatsWhenQuiescent) {
