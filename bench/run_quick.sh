@@ -7,7 +7,9 @@
 # micro_async_io, BENCH_meta_policy.json from ablation_meta_policy).
 # Each JSON is stamped with provenance (git SHA, CMake build type,
 # sanitizer) so a result file can always be traced to the commit and build
-# flavour that produced it. Validates that every file parses as JSON. CI
+# flavour that produced it. Every bench runs even if an earlier one fails;
+# every file is checked to parse as JSON, and the script exits nonzero at
+# the end if any bench failed or any file is invalid. CI
 # runs this to catch bench regressions and malformed emitters; the
 # full-length runs stay manual (--full).
 #
@@ -56,22 +58,38 @@ done
 PROVENANCE=(--git-sha "$GIT_SHA" --build-type "$BUILD_TYPE"
             --sanitizer "$SANITIZER")
 
-"$BUILD/bench/micro_sharded_pool" $QUICK --json BENCH_hotpath.json \
-    "${PROVENANCE[@]}"
-"$BUILD/bench/micro_contention" $QUICK --json BENCH_contention.json \
-    "${PROVENANCE[@]}"
-"$BUILD/bench/micro_policy_overhead" $QUICK \
-    --json BENCH_policy_overhead.json "${PROVENANCE[@]}"
-"$BUILD/bench/fault_sweep" $QUICK --json BENCH_faults.json \
-    "${PROVENANCE[@]}"
-"$BUILD/bench/micro_async_io" $QUICK --json BENCH_async_io.json \
-    "${PROVENANCE[@]}"
-"$BUILD/bench/ablation_meta_policy" $QUICK --json BENCH_meta_policy.json \
-    "${PROVENANCE[@]}"
+# Run all six even when one fails (a shape check printing NO exits
+# nonzero), so every bench still emits its JSON; report the failures and
+# exit nonzero at the end.
+failed=()
+run_bench() {
+  local bin=$1 json=$2
+  # A bench that dies before writing must not pass on a stale file.
+  rm -f "$json"
+  if ! "$BUILD/bench/$bin" $QUICK --json "$json" "${PROVENANCE[@]}"; then
+    echo "$bin: FAILED (exit nonzero)" >&2
+    failed+=("$bin")
+  fi
+}
+run_bench micro_sharded_pool BENCH_hotpath.json
+run_bench micro_contention BENCH_contention.json
+run_bench micro_policy_overhead BENCH_policy_overhead.json
+run_bench fault_sweep BENCH_faults.json
+run_bench micro_async_io BENCH_async_io.json
+run_bench ablation_meta_policy BENCH_meta_policy.json
 
 for f in BENCH_hotpath.json BENCH_contention.json \
          BENCH_policy_overhead.json BENCH_faults.json \
          BENCH_async_io.json BENCH_meta_policy.json; do
-  python3 -m json.tool "$f" > /dev/null
-  echo "$f: valid JSON"
+  if python3 -m json.tool "$f" > /dev/null; then
+    echo "$f: valid JSON"
+  else
+    echo "$f: INVALID JSON" >&2
+    failed+=("$f")
+  fi
 done
+
+if [[ ${#failed[@]} -gt 0 ]]; then
+  echo "bench smoke failed: ${failed[*]}" >&2
+  exit 1
+fi

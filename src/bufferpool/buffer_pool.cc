@@ -77,17 +77,11 @@ BufferPool::BufferPool(size_t capacity, DiskManager* disk,
   LRUK_ASSERT(capacity_ >= 1, "buffer pool needs at least one frame");
   LRUK_ASSERT(disk_ != nullptr, "buffer pool needs a disk manager");
   LRUK_ASSERT(policy_ != nullptr, "buffer pool needs a replacement policy");
-  optimistic_ = options_.optimistic_hits;
-  if (optimistic_ && options_.batch_capacity == 0) {
-    // A latch-free hit can only publish its reference through the
-    // AccessBuffer (RecordAccess needs the latch), so optimistic mode
-    // implies batching.
-    options_.batch_capacity = 64;
-  }
-  if (options_.batch_capacity > 0) {
-    // One ring tail per hardware thread (AccessBuffer::AutoStripeCount).
-    access_buffer_ = std::make_unique<AccessBuffer>(options_.batch_capacity);
-  }
+  // A latch-free hit can only publish its reference through the
+  // AccessBuffer (RecordAccess needs the latch), so a buffer always exists.
+  if (options_.batch_capacity == 0) options_.batch_capacity = 64;
+  // One ring tail per hardware thread (AccessBuffer::AutoStripeCount).
+  access_buffer_ = std::make_unique<AccessBuffer>(options_.batch_capacity);
   if (options_.io_dispatcher) {
     if (shared_dispatcher != nullptr) {
       io_ = shared_dispatcher;
@@ -114,12 +108,6 @@ BufferPool::BufferPool(size_t capacity, DiskManager* disk,
     uint64_t batch = options_.flusher_batch;
     adaptive_batch_.store(batch == 0 ? 1 : batch, std::memory_order_relaxed);
   }
-  // A pool-level readahead detector no longer forces a stand-down: its
-  // Observe is wait-free (an atomic history ring + stride voting, see
-  // io/readahead.h), so latch-free hits feed it directly, and batched
-  // victim nomination (EvictBatch) keeps skipped pinned nominees from
-  // churning LRU-K's bounded retained-history budget.
-  fast_path_ = optimistic_;
   frames_ = std::make_unique<Page[]>(capacity_);
   frame_prefetched_ = std::make_unique<std::atomic<uint8_t>[]>(capacity_);
   for (size_t f = 0; f < capacity_; ++f) {
@@ -162,60 +150,16 @@ Result<FrameId> BufferPool::AcquireFrame(
     return f;
   }
   bool defer = write_behind_ && deferred_writes != nullptr;
-  if (!optimistic_) {
-    auto victim = policy_->Evict();
-    if (!victim.has_value()) {
-      return Status::ResourceExhausted(
-          "all buffer frames are pinned; cannot evict");
-    }
-    FrameId f = 0;
-    bool found = page_table_.Find(*victim, &f);
-    LRUK_ASSERT(found, "policy evicted a page the pool does not hold");
-    Page& page = frames_[f];
-    LRUK_ASSERT(page.pin_count_.load(std::memory_order_relaxed) == 0,
-                "policy evicted a pinned page");
-    if (page.is_dirty()) {
-      if (defer) {
-        // Write-behind: copy the image aside (the "pinned copy") and hand
-        // the write to the Flush lane after the latch drops — the frame is
-        // reusable immediately and the miss path never waits on it. A
-        // failed write re-admits exactly (ReadmitFailedVictimLocked).
-        auto vw = std::make_shared<VictimWrite>();
-        vw->image = std::make_unique<char[]>(kPageSize);
-        std::memcpy(vw->image.get(), page.Data(), kPageSize);
-        pending_victim_writes_.emplace(*victim, std::move(vw));
-        deferred_writes->push_back(*victim);
-      } else {
-        // Write back BEFORE dismantling any pool state, so a failure can
-        // roll the eviction back: the frame still holds the page image and
-        // its page-table entry, pin count (0) and dirty bit are untouched —
-        // Restore() re-registers the victim with the policy and the pool is
-        // exactly as it was before Evict(). No eviction is counted.
-        Status written = DiskWrite(page.id_, page.Data());
-        if (!written.ok()) {
-          policy_->Restore(*victim);
-          return written;
-        }
-        ++stats_.dirty_writebacks;
-      }
-    }
-    page_table_.Erase(*victim);
-    page.id_ = kInvalidPageId;
-    page.dirty_.store(false, std::memory_order_relaxed);
-    ++stats_.evictions;
-    return f;
-  }
-  // Optimistic mode: SetEvictable is unused (a latch-free unpin cannot
-  // call it), so the policy nominates pinned pages too; pin counts are
-  // the ground truth. Nominate victims in escalating batches — EvictBatch
-  // defers the retained-history insertion, so a skipped pinned nominee
-  // costs one Restore instead of a full OnEvicted + resurrection round
-  // trip through LRU-K's bounded non-resident budget. Take the first
-  // unpinned nominee that survives the bucket handshake, then restore
-  // every unused one in reverse pop order (exact for LRU-K;
-  // single-threaded there are no pinned nominations in steady fetch/unpin
-  // loops, so the first batch of one behaves identically to the latched
-  // path's single Evict()).
+  // The policy never hears of pins (a latch-free unpin cannot tell it), so
+  // it nominates pinned pages too; pin counts are the ground truth.
+  // Nominate victims in escalating batches — EvictBatch defers the
+  // retained-history insertion, so a skipped pinned nominee costs one
+  // Restore instead of a full OnEvicted + resurrection round trip through
+  // LRU-K's bounded non-resident budget. Take the first unpinned nominee
+  // that survives the bucket handshake, then restore every unused one in
+  // reverse pop order (exact for LRU-K; single-threaded there are no
+  // pinned nominations in steady fetch/unpin loops, so the first batch of
+  // one behaves exactly like a bare policy's single Evict()).
   std::vector<PageId>& nominees = nominee_scratch_;  // Latch-guarded.
   std::vector<PageId>& batch = batch_scratch_;
   nominees.clear();
@@ -250,17 +194,25 @@ Result<FrameId> BufferPool::AcquireFrame(
       // page writer.
       if (page.is_dirty()) {
         if (defer) {
+          // Write-behind: copy the image aside (the "pinned copy") and
+          // hand the write to the Flush lane after the latch drops — the
+          // frame is reusable immediately and the miss path never waits on
+          // it. A failed write re-admits exactly
+          // (ReadmitFailedVictimLocked).
           auto vw = std::make_shared<VictimWrite>();
           vw->image = std::make_unique<char[]>(kPageSize);
           std::memcpy(vw->image.get(), page.Data(), kPageSize);
           pending_victim_writes_.emplace(victim, std::move(vw));
           deferred_writes->push_back(victim);
         } else {
+          // Write back BEFORE dismantling any pool state, so a failure
+          // rolls the eviction back: the frame still holds the image, its
+          // page-table entry and dirty bit are untouched, and no eviction
+          // is counted. The failed nominee is restored below with the rest
+          // (it is the most recent examined pop, so reverse order restores
+          // it in its exact Evict-undo position).
           Status written = DiskWrite(page.id_, page.Data());
           if (!written.ok()) {
-            // The failed nominee is restored below with the rest (it is
-            // the most recent examined pop, so reverse order restores it
-            // in its exact Evict-undo position).
             page_table_.UnlockUnchanged(bucket);
             result = written;
             stop = true;
@@ -298,13 +250,12 @@ void BufferPool::DrainAccessBufferLocked() const {
   // can drain through the same helper as mutating ones. Records for
   // since-evicted pages are dropped and counted (access_drops): with the
   // lock-free ring a record can stall behind another producer's
-  // unpublished claim and surface only after its page was evicted, and
-  // with optimistic_hits a latch-free pin + publish + unpin can complete
-  // entirely inside another thread's latch hold — so residency at drain
-  // time is the only safe filter. Single-threaded nothing is ever
-  // dropped: every eviction point drains first, and the ring is exactly
-  // FIFO without concurrent producers.
-  if (access_buffer_ == nullptr) return;
+  // unpublished claim and surface only after its page was evicted, and a
+  // latch-free pin + publish + unpin can complete entirely inside another
+  // thread's latch hold — so residency at drain time is the only safe
+  // filter. Single-threaded nothing is ever dropped: every eviction point
+  // drains first, and the ring is exactly FIFO without concurrent
+  // producers.
   size_t dropped = 0;
   access_buffer_->Drain(*policy_, /*skip_non_resident=*/true, &dropped);
   if (dropped != 0) {
@@ -537,38 +488,28 @@ void BufferPool::RunFlusherPass() {
   // pay one tick per peeked page — the flusher is opt-in). LIFO restore
   // order keeps Restore's "most recent Evict result" contract.
   std::vector<PageId> victims;
-  // The pages the pass will try to clean. Latched mode: every peeked
-  // victim (they are all unpinned by construction). Optimistic mode: the
-  // policy nominates pinned pages too, so keep popping until
-  // flusher_batch unpinned ones surface (or the policy runs dry) — the
-  // clean set matches the latched peek exactly when nothing is pinned.
+  // The pages the pass will try to clean. The policy nominates pinned
+  // pages too, so keep popping until flusher_batch unpinned ones surface
+  // (or the policy runs dry). EvictBatch keeps the pinned-nominee churn
+  // off the retained-history budget here too; chunk size tracks how many
+  // unpinned pages are still wanted, so when nothing is pinned the pass
+  // pops exactly the next flusher_batch victims.
   std::vector<PageId> clean_set;
   size_t batch = options_.flusher_adaptive
                      ? adaptive_batch_.load(std::memory_order_relaxed)
                      : options_.flusher_batch;
-  if (!optimistic_) {
-    size_t want = batch;
-    if (want > policy_->EvictableCount()) want = policy_->EvictableCount();
-    policy_->EvictBatch(want, &victims);
-    clean_set = victims;
-  } else {
-    // EvictBatch keeps the pinned-nominee churn off the retained-history
-    // budget here too; chunk size tracks how many unpinned pages are
-    // still wanted, so the pop sequence matches the latched peek exactly
-    // when nothing is pinned.
-    std::vector<PageId> chunk;
-    bool dry = false;
-    while (clean_set.size() < batch && !dry) {
-      size_t want = batch - clean_set.size();
-      if (policy_->EvictBatch(want, &chunk) < want) dry = true;
-      for (PageId victim : chunk) {
-        victims.push_back(victim);
-        if (clean_set.size() >= batch) continue;
-        FrameId f = 0;
-        bool found = page_table_.Find(victim, &f);
-        LRUK_ASSERT(found, "flusher peeked a page the pool does not hold");
-        if (frames_[f].pin_count() == 0) clean_set.push_back(victim);
-      }
+  std::vector<PageId> chunk;
+  bool dry = false;
+  while (clean_set.size() < batch && !dry) {
+    size_t want = batch - clean_set.size();
+    if (policy_->EvictBatch(want, &chunk) < want) dry = true;
+    for (PageId victim : chunk) {
+      victims.push_back(victim);
+      if (clean_set.size() >= batch) continue;
+      FrameId f = 0;
+      bool found = page_table_.Find(victim, &f);
+      LRUK_ASSERT(found, "flusher peeked a page the pool does not hold");
+      if (frames_[f].pin_count() == 0) clean_set.push_back(victim);
     }
   }
   for (auto it = victims.rbegin(); it != victims.rend(); ++it) {
@@ -591,35 +532,21 @@ void BufferPool::RunFlusherPass() {
     // page can be evicted or deleted before its turn comes.
     if (!page_table_.Find(v, &f)) continue;
     Page& page = frames_[f];
-    if (optimistic_) {
-      // Same handshake as eviction: bucket odd, THEN re-check the pin —
-      // a concurrent latch-free pin either lands before the bump (seen
-      // here: skip) or fails validation. Claim and copy while the bucket
-      // is still odd (no latch-free pin can land and mutate the image
-      // mid-copy); the pin taken here blocks eviction for the whole
-      // snapshot write after the bucket is released.
-      size_t bucket = page_table_.LockBucket(v);
-      if (page.pin_count_.load() != 0 || !page.is_dirty()) {
-        page_table_.UnlockUnchanged(bucket);
-        continue;
-      }
-      page.pin_count_.fetch_add(1);
-      page.dirty_.store(false, std::memory_order_relaxed);
-      std::memcpy(scratch.get(), page.Data(), kPageSize);
+    // Same handshake as eviction: bucket odd, THEN re-check the pin — a
+    // concurrent latch-free pin either lands before the bump (seen here:
+    // skip) or fails validation. Claim and copy while the bucket is still
+    // odd (no latch-free pin can land and mutate the image mid-copy); the
+    // pin taken here blocks eviction for the whole snapshot write after
+    // the bucket is released.
+    size_t bucket = page_table_.LockBucket(v);
+    if (page.pin_count_.load() != 0 || !page.is_dirty()) {
       page_table_.UnlockUnchanged(bucket);
-    } else {
-      // Claim-then-copy under the latch: pins need the latch in latched
-      // mode, so with pin_count == 0 here nobody is mutating the image
-      // during the copy.
-      if (page.pin_count_.load(std::memory_order_relaxed) != 0 ||
-          !page.is_dirty()) {
-        continue;
-      }
-      page.pin_count_.fetch_add(1);
-      policy_->SetEvictable(v, false);
-      page.dirty_.store(false, std::memory_order_relaxed);
-      std::memcpy(scratch.get(), page.Data(), kPageSize);
+      continue;
     }
+    page.pin_count_.fetch_add(1);
+    page.dirty_.store(false, std::memory_order_relaxed);
+    std::memcpy(scratch.get(), page.Data(), kPageSize);
+    page_table_.UnlockUnchanged(bucket);
     flusher_cleaning_.insert(v);
     guard.unlock();
     Status written = DiskWrite(v, scratch.get());
@@ -631,9 +558,7 @@ void BufferPool::RunFlusherPass() {
     } else {
       page.dirty_.store(true, std::memory_order_release);
     }
-    if (page.pin_count_.fetch_sub(1) == 1 && !optimistic_) {
-      policy_->SetEvictable(v, true);
-    }
+    page.pin_count_.fetch_sub(1);
     quiesce_cv_.notify_all();
   }
   ReplanFlusherLocked();
@@ -716,22 +641,23 @@ Page* BufferPool::TryOptimisticHit(PageId p, AccessType type,
   // the page's residency anyway (late drain) is dropped by the
   // skip-non-resident drain.
   if (!access_buffer_->TryPush({p, /*process=*/0, type})) {
-    // Stripe full: the latched slow path — drain and apply directly,
-    // preserving FIFO order exactly as the latched hit branch does.
+    // Stripe full: drain under the latch and apply this (newest)
+    // reference directly, preserving FIFO order.
     auto guard = Lock();
     DrainAccessBufferLocked();
     policy_->RecordAccess(p, type);
   }
-  // Background work, after the publish (same order as the latched hit
-  // branch, so an inline-mode prefetch admission drains this reference
-  // first). The detector sees only OBSERVABLE references — demand misses
-  // and prefetch-confirmation hits like this one. A steady-state warm
-  // hit skips Observe entirely: a scan's references are always misses or
-  // first touches of prefetched frames (a scan visits each page once),
-  // so nothing detectable is lost, and the detector's per-call cost —
-  // small, but a measurable fraction of a ~650 ns latch-free hit — comes
-  // off the warm path completely. A scan entering cold territory from a
-  // fully-resident stretch re-arms within min_run misses.
+  // Background work, after the publish (same order as the latched
+  // resident branch, so an inline-mode prefetch admission drains this
+  // reference first). The detector sees only OBSERVABLE references —
+  // demand misses and prefetch-confirmation hits like this one. A
+  // steady-state warm hit skips Observe entirely: a scan's references are
+  // always misses or first touches of prefetched frames (a scan visits
+  // each page once), so nothing detectable is lost, and the detector's
+  // per-call cost — small, but a measurable fraction of a ~650 ns
+  // latch-free hit — comes off the warm path completely. A scan entering
+  // cold territory from a fully-resident stretch re-arms within min_run
+  // misses.
   bool flusher_due = TickFlusher();
   std::vector<PageId> targets;
   if (readahead_ != nullptr && was_prefetched) {
@@ -770,11 +696,8 @@ Result<Page*> BufferPool::FetchPage(PageId p, AccessType type) {
 
 Result<Page*> BufferPool::FetchPage(PageId p, AccessType type,
                                     bool* observable) {
-  if (observable != nullptr) *observable = false;
-  if (fast_path_) {
-    if (Page* page = TryOptimisticHit(p, type, observable)) return page;
-    if (observable != nullptr) *observable = false;  // Fallback re-decides.
-  }
+  if (Page* page = TryOptimisticHit(p, type, observable)) return page;
+  if (observable != nullptr) *observable = false;  // Fallback re-decides.
   auto guard = Lock();
   // Whether this fetch has already been counted (a coalesced waiter counts
   // its miss when it starts waiting, then resolves through the hit branch
@@ -785,17 +708,15 @@ Result<Page*> BufferPool::FetchPage(PageId p, AccessType type,
   for (;;) {
     FrameId f = 0;
     if (page_table_.Find(p, &f)) {
+      // The latch-free probe missed a page admitted since, hit an unstable
+      // bucket, or this fetch waited out another thread's read: serve the
+      // hit under the latch.
       Page& page = frames_[f];
       if (!counted) ++stats_.hits;
       const bool was_prefetched =
           frame_prefetched_[f].exchange(0, std::memory_order_relaxed) != 0;
       if (was_prefetched) ++stats_.prefetch_used;
       if (observable != nullptr) *observable = was_prefetched;
-      if (access_buffer_ == nullptr) policy_->RecordAccess(p, type);
-      if (!optimistic_ &&
-          page.pin_count_.load(std::memory_order_relaxed) == 0) {
-        policy_->SetEvictable(p, false);
-      }
       page.pin_count_.fetch_add(1);
       if (type == AccessType::kWrite) {
         page.dirty_.store(true, std::memory_order_release);
@@ -809,20 +730,17 @@ Result<Page*> BufferPool::FetchPage(PageId p, AccessType type,
                                     &flusher_due);
       }
       guard.unlock();
-      if (access_buffer_ != nullptr) {
-        // Batched hit path: publish the reference outside the latch. The
-        // pin taken above keeps the page resident (and un-evictable) until
-        // the record is drained, so a deferred RecordAccess can never land
-        // on a non-resident page.
-        if (!access_buffer_->TryPush({p, /*process=*/0, type})) {
-          // The stripe is full: drain under the latch and apply this
-          // (newest) reference directly, preserving FIFO order.
-          guard.lock();
-          CountLatchAcquire();
-          DrainAccessBufferLocked();
-          policy_->RecordAccess(p, type);
-          guard.unlock();
-        }
+      // Publish the reference outside the latch, as the latch-free hit
+      // does. The pin taken above keeps the page resident until our own
+      // unpin; a record that outlives its page is dropped at drain.
+      if (!access_buffer_->TryPush({p, /*process=*/0, type})) {
+        // The stripe is full: drain under the latch and apply this
+        // (newest) reference directly, preserving FIFO order.
+        guard.lock();
+        CountLatchAcquire();
+        DrainAccessBufferLocked();
+        policy_->RecordAccess(p, type);
+        guard.unlock();
       }
       LaunchBackgroundWork(targets, flusher_due);
       return &page;
@@ -865,7 +783,6 @@ Result<Page*> BufferPool::FetchPage(PageId p, AccessType type,
         frame_prefetched_[*acquired].store(0, std::memory_order_relaxed);
         policy_->Restore(p);
         policy_->RecordAccess(p, type);
-        if (!optimistic_) policy_->SetEvictable(p, false);
         if (type == AccessType::kWrite) {
           page.dirty_.store(true, std::memory_order_release);
         }
@@ -963,15 +880,14 @@ Result<Page*> BufferPool::FetchPage(PageId p, AccessType type,
     return read;
   }
   page.id_ = p;
-  // fetch_add, not a store: in optimistic mode a stale reader may be
-  // holding a transient speculative +1 on this frame (it will undo it
-  // after failing validation), and a blind store would erase that.
+  // fetch_add, not a store: a stale optimistic reader may be holding a
+  // transient speculative +1 on this frame (it will undo it after failing
+  // validation), and a blind store would erase that.
   page.pin_count_.fetch_add(1);
   page.dirty_.store(type == AccessType::kWrite, std::memory_order_relaxed);
   page_table_.Insert(p, frame);
   frame_prefetched_[frame].store(0, std::memory_order_relaxed);
   policy_->Admit(p, type);
-  if (!optimistic_) policy_->SetEvictable(p, false);
   std::vector<PageId> targets;
   bool flusher_due = false;
   if (io_ != nullptr) {
@@ -1034,39 +950,36 @@ Result<Page*> BufferPool::AdmitNewPageLocked(
   page_table_.Insert(p, *frame);
   frame_prefetched_[*frame].store(0, std::memory_order_relaxed);
   policy_->Admit(p, AccessType::kWrite);
-  if (!optimistic_) policy_->SetEvictable(p, false);
   return &page;
 }
 
 Status BufferPool::UnpinPage(PageId p, bool dirty) {
-  if (fast_path_) {
-    PageTable::Snapshot snap;
-    PageTable::ProbeFail why = PageTable::ProbeFail::kNone;
-    if (page_table_.OptimisticFind(p, &snap, &why)) {
-      // The caller's own pin (its API obligation) keeps p resident, and a
-      // resident page never changes frames — so a consistent probe gives
-      // the right frame even if the bucket shifts afterwards. Order
-      // matters: set dirty BEFORE the decrement, so a mutator that sees
-      // pin == 0 under its bucket lock also sees the dirty bit.
-      Page& page = frames_[snap.frame];
-      int cur = page.pin_count_.load();
-      if (cur > 0) {
-        if (dirty) page.dirty_.store(true, std::memory_order_release);
-        while (cur > 0) {
-          if (page.pin_count_.compare_exchange_weak(cur, cur - 1)) {
-            return Status::Ok();
-          }
-          stats_.pin_cas_retries.fetch_add(1, std::memory_order_relaxed);
+  PageTable::Snapshot snap;
+  PageTable::ProbeFail why = PageTable::ProbeFail::kNone;
+  if (page_table_.OptimisticFind(p, &snap, &why)) {
+    // The caller's own pin (its API obligation) keeps p resident, and a
+    // resident page never changes frames — so a consistent probe gives the
+    // right frame even if the bucket shifts afterwards. Order matters: set
+    // dirty BEFORE the decrement, so a mutator that sees pin == 0 under its
+    // bucket lock also sees the dirty bit.
+    Page& page = frames_[snap.frame];
+    int cur = page.pin_count_.load();
+    if (cur > 0) {
+      if (dirty) page.dirty_.store(true, std::memory_order_release);
+      while (cur > 0) {
+        if (page.pin_count_.compare_exchange_weak(cur, cur - 1)) {
+          return Status::Ok();
         }
+        stats_.pin_cas_retries.fetch_add(1, std::memory_order_relaxed);
       }
-      // cur dropped to 0: unpin of an unpinned page (or a misuse race) —
-      // let the latched path produce the authoritative error. (Not an
-      // attributed fallback: the probe itself succeeded.)
-    } else {
-      // Probe failed (absent or unstable): latched path for the
-      // authoritative NotFound / InvalidArgument.
-      CountOptimisticFallback(why);
     }
+    // cur dropped to 0: unpin of an unpinned page (or a misuse race) — let
+    // the latched path produce the authoritative error. (Not an attributed
+    // fallback: the probe itself succeeded.)
+  } else {
+    // Probe failed (absent or unstable): latched path for the
+    // authoritative NotFound / InvalidArgument.
+    CountOptimisticFallback(why);
   }
   auto guard = Lock();
   FrameId f = 0;
@@ -1079,9 +992,7 @@ Status BufferPool::UnpinPage(PageId p, bool dirty) {
                                    std::to_string(p));
   }
   if (dirty) page.dirty_.store(true, std::memory_order_release);
-  if (page.pin_count_.fetch_sub(1) == 1 && !optimistic_) {
-    policy_->SetEvictable(p, true);
-  }
+  page.pin_count_.fetch_sub(1);
   return Status::Ok();
 }
 
@@ -1109,9 +1020,8 @@ Status BufferPool::FlushPage(PageId p) {
   Page& page = frames_[f];
   // On failure the dirty flag is untouched, so the write is retried by
   // the next flush or eviction rather than silently dropped.
-  // (Like the latched pool, an explicit flush may run while the caller —
-  // who requested it — still writes the pinned page; coordinating that is
-  // the caller's job, in both modes.)
+  // (An explicit flush may run while the caller — who requested it — still
+  // writes the pinned page; coordinating that is the caller's job.)
   LRUK_RETURN_IF_ERROR(DiskWrite(p, page.Data()));
   page.dirty_.store(false, std::memory_order_relaxed);
   return Status::Ok();
@@ -1164,19 +1074,14 @@ Status BufferPool::DeletePage(PageId p) {
   // Any buffered reference to p must reach the policy before Remove()
   // forgets the page (a post-Remove RecordAccess would fault). A record
   // not yet visible here implies its producer still pins p, in which case
-  // the delete fails below anyway. (In optimistic mode a reference can
-  // also be fully published and unpinned latch-free; a record that drains
-  // after the delete is dropped by the skip-non-resident drain.)
+  // the delete fails below anyway. (A reference can also be fully
+  // published and unpinned latch-free; a record that drains after the
+  // delete is dropped by the skip-non-resident drain.)
   DrainAccessBufferLocked();
   FrameId f = 0;
   bool resident = page_table_.Find(p, &f);
-  if (resident && !optimistic_ &&
-      frames_[f].pin_count_.load(std::memory_order_relaxed) > 0) {
-    return Status::InvalidArgument("delete of pinned page " +
-                                   std::to_string(p));
-  }
   size_t bucket = 0;
-  if (resident && optimistic_) {
+  if (resident) {
     // Bucket handshake before the pin check, exactly as in eviction: a
     // concurrent latch-free pin is either visible here (delete refused —
     // a transient speculative pin can cause a spurious refusal, which is
@@ -1193,7 +1098,7 @@ Status BufferPool::DeletePage(PageId p) {
   // history, dirty image) is untouched and the page is still usable.
   Status deallocated = disk_->DeallocatePage(p);
   if (!deallocated.ok()) {
-    if (resident && optimistic_) page_table_.UnlockUnchanged(bucket);
+    if (resident) page_table_.UnlockUnchanged(bucket);
     return deallocated;
   }
   // A parked image of a deleted page is intentionally discarded: its data
@@ -1206,11 +1111,7 @@ Status BufferPool::DeletePage(PageId p) {
     frame_prefetched_[f].store(0, std::memory_order_relaxed);
     page.id_ = kInvalidPageId;
     page.dirty_.store(false, std::memory_order_relaxed);
-    if (optimistic_) {
-      page_table_.UnlockErased(bucket);
-    } else {
-      page_table_.Erase(p);
-    }
+    page_table_.UnlockErased(bucket);
   }
   return Status::Ok();
 }

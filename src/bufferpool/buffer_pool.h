@@ -18,27 +18,31 @@
 // in a real DBMS). For multi-core scaling, ShardedBufferPool composes
 // several of these pools behind the same PoolInterface.
 //
-// The default hit path is latch-free: warm hits and unpins take no latch
-// at all (BufferPoolOptions::optimistic_hits, see below), and the
-// reference each hit owes the policy is published to an AccessBuffer with
-// one ring per hardware thread and applied in batches under the latch
-// (BufferPoolOptions::batch_capacity). Only misses, admissions, flushes
-// and deletes serialize on the latch. Setting optimistic_hits = false and
-// batch_capacity = 0 selects the exact latched path, where every hit
-// applies RecordAccess under the latch; differential tests use it as
-// their reference, and wall-clock LRU-K needs it.
+// The hit path is latch-free: warm hits and unpins take no latch at all,
+// and the reference each hit owes the policy is published to an
+// AccessBuffer with one ring per hardware thread and applied in batches
+// under the latch (BufferPoolOptions::batch_capacity). Only misses,
+// admissions, flushes and deletes serialize on the latch. References
+// therefore reach the policy at drain time: single-threaded in exactly the
+// reference order, so the pool replays a bare policy byte for byte (the
+// differential tests' oracle); an LRU-K with a wall-clock time source
+// (LruKOptions::clock) stamps a reference when it is drained, up to one
+// drain after it happened.
 //
 // Optimistic hit protocol (DESIGN.md "Optimistic page table & pin
-// protocol"): with optimistic_hits on, a hit is — probe the version-
-// stamped PageTable without any lock, speculatively fetch_add the frame's
-// atomic pin count, re-validate the bucket version, publish the reference
-// to the AccessBuffer, go. Any instability falls back to the latched slow
-// path. The cross-cutting invariant every mutation path upholds: no frame
-// is evicted, flushed-while-unpinned, deleted, or reused for another page
-// without first bumping its page-table bucket version (PageTable::
-// LockBucket) and THEN re-checking the pin count — the seq_cst store-load
-// handshake that guarantees an optimistic reader either fails validation
-// or is seen by the mutator as pinned, never neither.
+// protocol"): a hit is — probe the version-stamped PageTable without any
+// lock, speculatively fetch_add the frame's atomic pin count, re-validate
+// the bucket version, publish the reference to the AccessBuffer, go. Any
+// instability falls back to the latched slow path, which publishes
+// through the same buffer. The policy never hears about pins
+// (SetEvictable is unused): pin counts are the ground truth, and victim
+// nomination skips pinned nominees. The cross-cutting invariant every
+// mutation path upholds: no frame is evicted, flushed-while-unpinned,
+// deleted, or reused for another page without first bumping its
+// page-table bucket version (PageTable::LockBucket) and THEN re-checking
+// the pin count — the seq_cst store-load handshake that guarantees an
+// optimistic reader either fails validation or is seen by the mutator as
+// pinned, never neither.
 
 #ifndef LRUK_BUFFERPOOL_BUFFER_POOL_H_
 #define LRUK_BUFFERPOOL_BUFFER_POOL_H_
@@ -66,47 +70,23 @@ namespace lruk {
 
 // Knobs shared by BufferPool and (per shard) ShardedBufferPool.
 struct BufferPoolOptions {
-  // Batched access recording (DESIGN.md "Batched access recording").
-  // >=1 (default 64) — hits enqueue an AccessRecord into a latch-free
-  //     AccessBuffer of this per-stripe capacity (rounded up to a power of
-  //     two), with one stripe per hardware thread
-  //     (AccessBuffer::AutoStripeCount); the buffer is drained in
-  //     per-stripe FIFO order under the latch when a stripe fills, before
-  //     any admission/eviction/removal, and on flush/stats calls.
-  //     Single-threaded, the policy sees the exact same call sequence as
-  //     batch_capacity = 0 (drains preserve order), so replacement
-  //     behaviour is identical; multi-threaded, a reference may be applied
-  //     up to one buffer-capacity late.
-  // 0 — disabled: every hit applies ReplacementPolicy::RecordAccess under
-  //     the pool latch. Only meaningful together with optimistic_hits =
-  //     false (the exact latched path, see below).
+  // Batched access recording (DESIGN.md "Batched access recording"):
+  // hits enqueue an AccessRecord into a latch-free AccessBuffer of this
+  // per-stripe capacity (rounded up to a power of two), with one stripe
+  // per hardware thread (AccessBuffer::AutoStripeCount); the buffer is
+  // drained in per-stripe FIFO order under the latch when a stripe fills,
+  // before any admission/eviction/removal, and on flush/stats calls.
+  // Single-threaded, the policy sees the reference string in order, so
+  // replacement behaviour is a bare policy's; multi-threaded, a reference
+  // may be applied up to one buffer-capacity late, and references to pages
+  // evicted before the next drain are dropped and counted (access_drops).
+  // 0 is bumped to 64.
   size_t batch_capacity = 64;
   // Bounded retry of transient (kIoError) disk read/write failures before
   // the error surfaces to the caller. Off by default (max_attempts = 1);
   // see util/retry.h. The retry runs under the pool latch — size the
   // backoff accordingly (or leave `sleep` null for immediate re-issue).
   RetryOptions io_retry;
-
-  // Latch-free hit path (DESIGN.md "Optimistic page table & pin
-  // protocol"). On (default): warm hits and unpins run entirely without
-  // the latch (optimistic version-validated page-table probe + atomic pin
-  // counts), falling back to the latched path on any miss or instability.
-  // A latch-free hit can only publish its reference through the
-  // AccessBuffer, so batch_capacity is bumped to 64 if set to 0.
-  // Replacement behaviour is byte-identical to the latched path
-  // single-threaded; concurrently, references to pages evicted before the
-  // next drain are dropped and counted (access_drops — bounded staleness,
-  // same contract as batching). Composes with readahead: the voting
-  // detector's Observe is wait-free, so a latch-free hit feeds it directly
-  // and only an actual stride trigger (or a due flusher pass) touches the
-  // latch.
-  // Off, together with batch_capacity = 0: the exact latched path — every
-  // hit and unpin takes the pool latch and applies RecordAccess /
-  // SetEvictable in reference order. Differential tests use it as their
-  // reference, and LRU-K with a wall-clock time source (LruKOptions::
-  // clock) needs it: a deferred reference would be stamped at drain time,
-  // not at the time it happened (DESIGN.md "Batched access recording").
-  bool optimistic_hits = true;
 
   // --- Async I/O dispatcher (DESIGN.md "Async I/O dispatcher") ---
   // Master switch: miss reads execute through an IoDispatcher with the
@@ -247,16 +227,14 @@ class BufferPool final : public PoolInterface {
   }
   DiskManager& disk() { return *disk_; }
   const BufferPoolOptions& options() const { return options_; }
-  // Drain/push counters for the batching buffer; all-zero when batching is
-  // disabled (batch_capacity == 0).
+  // Drain/push counters for the batching buffer.
   AccessBufferStats access_buffer_stats() const {
     auto guard = Lock();
-    return access_buffer_ ? access_buffer_->stats() : AccessBufferStats{};
+    return access_buffer_->stats();
   }
-  // Stripes in the batching buffer (AccessBuffer::AutoStripeCount); 0
-  // when batching is disabled.
+  // Stripes in the batching buffer (AccessBuffer::AutoStripeCount).
   size_t access_buffer_stripes() const {
-    return access_buffer_ ? access_buffer_->stripe_count() : 0;
+    return access_buffer_->stripe_count();
   }
 
   // --- Async I/O dispatcher surface (no-ops unless io_dispatcher) ---
@@ -413,10 +391,10 @@ class BufferPool final : public PoolInterface {
   // Finds a frame for a new resident page: the free list first, then a
   // policy eviction (with dirty write-back). If the victim's write-back
   // fails, the eviction is rolled back (policy_->Restore) and the pool is
-  // left exactly as before the call. In optimistic mode the policy may
-  // nominate pinned victims (SetEvictable is unused there — pin counts
-  // are ground truth); they are skipped under the bucket handshake and
-  // restored afterwards.
+  // left exactly as before the call. The policy may nominate pinned
+  // victims (pin counts are the ground truth; the policy never hears of
+  // pins); they are skipped under the bucket handshake and restored
+  // afterwards.
   //
   // Write-behind: when `deferred_writes` is non-null and write-behind is
   // in force, a dirty victim's image is copied into a VictimWrite entry,
@@ -429,11 +407,10 @@ class BufferPool final : public PoolInterface {
   // NewPage/AdmitNewPage body; the latch is already held.
   Result<Page*> AdmitNewPageLocked(PageId p,
                                    std::vector<PageId>* deferred_writes);
-  // Applies every buffered access record to the policy (in optimistic
-  // mode, dropping records whose page was evicted since — see
-  // AccessBuffer::Drain). Caller holds the latch. Declared const because
-  // observation paths (stats) drain too; the mutation happens through the
-  // shallow-const member pointers.
+  // Applies every buffered access record to the policy, dropping records
+  // whose page was evicted since (see AccessBuffer::Drain). Caller holds
+  // the latch. Declared const because observation paths (stats) drain
+  // too; the mutation happens through the shallow-const member pointers.
   void DrainAccessBufferLocked() const;
   // The latch-free hit attempt: optimistic probe, speculative pin,
   // validate, count, publish. Returns the pinned page, or null on any
@@ -444,7 +421,8 @@ class BufferPool final : public PoolInterface {
   Page* TryOptimisticHit(PageId p, AccessType type,
                          bool* observable = nullptr);
   // Bumps the fetch counter and reports whether a flusher pass is due
-  // (both hit paths share it so trigger points are mode-independent).
+  // (the latch-free hit and the latched fetch share it, so trigger points
+  // do not depend on which one served a fetch).
   bool TickFlusher() {
     if (!options_.flusher || io_ == nullptr) return false;
     // adaptive_every_ holds flusher_every_ops verbatim unless
@@ -517,14 +495,6 @@ class BufferPool final : public PoolInterface {
   DiskManager* disk_;
   std::unique_ptr<ReplacementPolicy> policy_;
   BufferPoolOptions options_;
-  // options_.optimistic_hits: mutation paths use the bucket handshake and
-  // SetEvictable is suppressed (pin counts are the ground truth).
-  bool optimistic_ = false;
-  // Mirrors optimistic_: FetchPage attempts TryOptimisticHit first. The
-  // readahead detector no longer forces a stand-down — its Observe is
-  // wait-free, so the latch-free hit feeds it directly.
-  bool fast_path_ = false;
-  // Present iff options_.batch_capacity > 0.
   std::unique_ptr<AccessBuffer> access_buffer_;
   // Owned dispatcher (private to this pool); io_ points here or at the
   // shared one passed in. Null iff options_.io_dispatcher is false.
@@ -532,7 +502,7 @@ class BufferPool final : public PoolInterface {
   IoDispatcher* io_ = nullptr;
   // Present iff readahead is enabled on a non-sharded pool.
   std::unique_ptr<ReadaheadDetector> readahead_;
-  // Scratch for ReadaheadDetector::Observe on the LATCHED fetch path
+  // Scratch for ReadaheadDetector::Observe on the latched fetch path
   // (latch-guarded, reused to avoid a per-fetch allocation). The
   // latch-free hit path uses a stack-local vector instead: it only pays
   // for an allocation when a stride actually triggers.
@@ -579,8 +549,7 @@ class BufferPool final : public PoolInterface {
   uint64_t inflight_background_ = 0;
   std::condition_variable quiesce_cv_;
   // Fetches since the last flusher trigger; atomic (modulo trigger, no
-  // reset) so latch-free hits pace the flusher identically to latched
-  // ones.
+  // reset) so latch-free hits pace the flusher like latched fetches.
   std::atomic<uint64_t> ops_since_flusher_{0};
   // The flusher cadence/batch in force: the configured constants, unless
   // flusher_adaptive re-plans them after each pass. Atomics because

@@ -19,9 +19,8 @@ class BufferPool;
 // code receives Page* from FetchPage/NewPage and must Unpin when done
 // (or hold a PageGuard, which does it automatically).
 //
-// pin_count_ and dirty_ are atomics because the optimistic hit path
-// (BufferPoolOptions::optimistic_hits) pins and dirties frames without
-// the pool latch. Two rules keep the counts exact:
+// pin_count_ and dirty_ are atomics because the latch-free hit path pins
+// and dirties frames without the pool latch. Two rules keep the counts exact:
 //  * pin_count_ is only ever modified with fetch_add/fetch_sub/CAS,
 //    never store() — a stale optimistic reader may hold a transient +1
 //    on any frame (undone after validation fails), and a blind store

@@ -56,8 +56,7 @@ namespace lruk {
 // with a shared dispatcher these are counted at the submitting pool, so
 // shard sums stay exact.
 //
-// Optimistic-path counters (all zero unless BufferPoolOptions::
-// optimistic_hits is on — see DESIGN.md "Optimistic page table & pin
+// Optimistic-path counters (see DESIGN.md "Optimistic page table & pin
 // protocol"): `optimistic_hits` counts hits served entirely without the
 // pool latch; they are also counted in `hits`. `optimistic_fallbacks`
 // counts every optimistic attempt that ended up on the latched path, and
@@ -73,13 +72,13 @@ namespace lruk {
 // failed compare-exchange iterations in latch-free unpins — a contention
 // proxy. `latch_acquires` counts acquisitions of the pool mutex (per
 // shard, summed); it is a proxy, not a lock census: condition-variable
-// re-acquisitions inside waits are not counted. With optimistic_hits on,
-// a warm hit+unpin pair performs zero latch acquisitions.
+// re-acquisitions inside waits are not counted. A warm hit+unpin pair
+// performs zero latch acquisitions.
 //
 // `access_drops` counts buffered access records dropped at drain time
 // because their page had already been evicted (the record stalled behind
-// a lock-free publish gap, or — with optimistic_hits — its pin+publish+
-// unpin completed without the latch). Each drop is one policy reference
+// a lock-free publish gap, or its pin+publish+unpin completed without the
+// latch). Each drop is one policy reference
 // that was observed but never applied: bounded staleness, surfaced so
 // accounting like clock == hits + misses + admits - drops stays exact.
 struct BufferPoolStats {

@@ -63,13 +63,12 @@ class ShardedBufferPool final : public PoolInterface {
   // two, <= capacity). `disk` must outlive the pool and be thread-safe.
   // `factory` is invoked once per shard as factory(shard_index,
   // shard_capacity) and must return a fresh policy each time.
-  // `shard_options` is applied to every shard. Its defaults make every
-  // shard's warm hits and unpins latch-free (optimistic_hits), with
-  // references batched into a per-shard AccessBuffer that each shard
-  // drains under its own latch (batch_capacity — see DESIGN.md "Batched
-  // access recording"). The pool-level readahead detector observes the
-  // full fetch stream here, above the shards, so readahead and the
-  // optimistic fast path compose.
+  // `shard_options` is applied to every shard. Every shard's warm hits and
+  // unpins are latch-free, with references batched into a per-shard
+  // AccessBuffer that each shard drains under its own latch
+  // (batch_capacity — see DESIGN.md "Batched access recording"). The
+  // pool-level readahead detector observes the full fetch stream here,
+  // above the shards, so readahead and the latch-free hit path compose.
   ShardedBufferPool(size_t capacity, size_t num_shards, DiskManager* disk,
                     ShardPolicyFactory factory,
                     BufferPoolOptions shard_options = {});
@@ -111,8 +110,7 @@ class ShardedBufferPool final : public PoolInterface {
     for (const auto& shard : shards_) total += shard->MetaStats();
     return total;
   }
-  // Batching-buffer counters summed across shards (all-zero when
-  // batch_capacity == 0).
+  // Batching-buffer counters summed across shards.
   AccessBufferStats access_buffer_stats() const {
     AccessBufferStats total;
     for (const auto& shard : shards_) total += shard->access_buffer_stats();

@@ -126,11 +126,10 @@ class AccessBuffer {
   // in `policy` are dropped instead of applied, and the number dropped is
   // added to `*dropped` (when non-null) and to stats(). The pools always
   // set this: with the lock-free publish path a record can stall behind a
-  // gap past its page's eviction, and with latch-free hits
-  // (BufferPoolOptions::optimistic_hits) a pin + publish + unpin can
-  // complete entirely without the pool latch — either way the drain may
-  // see records for pages already evicted, which the policy must not be
-  // asked to apply.
+  // gap past its page's eviction, and a latch-free hit's pin + publish +
+  // unpin can complete entirely without the pool latch — either way the
+  // drain may see records for pages already evicted, which the policy must
+  // not be asked to apply.
   size_t Drain(ReplacementPolicy& policy, bool skip_non_resident = false,
                size_t* dropped = nullptr);
 

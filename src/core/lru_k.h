@@ -104,7 +104,11 @@ struct LruKOptions {
   // When set, reference times come from the clock and the CRP / RIP /
   // purge_interval are in the clock's units (the paper's "5 seconds" /
   // "200 seconds" defaults become expressible directly). When null
-  // (default), time is logical: one tick per reference.
+  // (default), time is logical: one tick per reference. Inside a
+  // BufferPool, hits reach the policy when the pool drains its
+  // AccessBuffer, so a wall-clock stamp can lag its reference by up to one
+  // drain; driven directly (CacheSimulator, RunSimulation) the stamp is
+  // exact.
   Clock* clock = nullptr;
 };
 

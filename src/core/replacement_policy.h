@@ -16,8 +16,10 @@
 // hit/miss split.
 //
 // Pinning: SetEvictable(p, false) removes p from Evict()'s candidate set
-// without forgetting its statistics; the buffer pool pins pages while user
-// code holds them. Policies driven by a simulator never see pins.
+// without forgetting its statistics. BufferPool does not use it: its pins
+// are atomic counts the policy never sees, so it nominates victims with
+// EvictBatch, skips pinned nominees and Restores them. Policies driven by
+// a simulator never see pins either.
 
 #ifndef LRUK_CORE_REPLACEMENT_POLICY_H_
 #define LRUK_CORE_REPLACEMENT_POLICY_H_

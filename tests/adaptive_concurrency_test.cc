@@ -59,9 +59,9 @@ TEST_P(AdaptiveConcurrencyTest, RegretAccountingHoldsUnderChurn) {
   auto factory = MakeShardPolicyFactory(*spec);
   ASSERT_TRUE(factory.ok()) << factory.status().ToString();
 
-  ShardedBufferPool pool(kFrames, kShards, &disk, *factory,
-                         BufferPoolOptions{.batch_capacity = batch_capacity,
-                                           .optimistic_hits = true});
+  BufferPoolOptions options;
+  options.batch_capacity = batch_capacity;
+  ShardedBufferPool pool(kFrames, kShards, &disk, *factory, options);
 
   std::vector<PageId> pages = AllocateDb(pool, kDbPages);
   std::atomic<uint64_t> failures{0};

@@ -16,8 +16,8 @@
 //    Restored into its nominating expert exactly; the others re-admit.
 //  * Fixed-expert differential — `adaptive:lruk2` is byte-identical to
 //    plain `lruk2` through the shared 20k-op scenario harness, across the
-//    plain pool, the sharded pool, the optimistic+batched pool, and the
-//    full async stack (flusher Evict/Restore peeks included).
+//    plain pool, the sharded pool, a capacity-1 access ring, the full
+//    async stack (flusher Evict/Restore peeks included), and readahead.
 //  * Interval-estimator units — priors until min_samples, quantiles
 //    tracking the observed gap distribution, Reset.
 //  * Online tuning — retunes fire, the tuned CRP/RIP are clamped and
@@ -348,7 +348,7 @@ TEST(AdaptiveDifferentialTest, SingleExpertAdaptiveMatchesPlainLruK) {
   const Case cases[] = {
       {"plain", {}},
       {"sharded", {.sharded = true}},
-      {"optimistic+batched", {.batch_capacity = 64, .optimistic = true}},
+      {"tiny-ring", {.batch_capacity = 1}},
       {"async-stack", {.async_stack = true}},
       {"readahead", {.readahead = true}},
   };

@@ -12,7 +12,7 @@
 //    worker mode driven single-threaded), both pools produce BYTE-IDENTICAL
 //    behaviour to the direct path over a 20k-op mixed workload: same pool
 //    counters, same victim sequence, same IoStats, same residency, same
-//    disk images. Batch recording on and off.
+//    disk images. Access rings of capacity 1 and 64.
 //  * Replay determinism — the full async stack (inline dispatcher +
 //    readahead + flusher) over a seeded fault schedule reproduces the
 //    identical fault trace, stats and disk images run-to-run (the PR 4
@@ -285,7 +285,7 @@ TEST(AsyncIoReadaheadTest, ResetForgetsTheRun) {
 // single-threaded) vs the direct path — byte-identical.
 
 TEST(AsyncIoDifferentialTest, InlineDispatcherIsByteIdenticalPlainPool) {
-  for (size_t batch : {size_t{0}, size_t{64}}) {
+  for (size_t batch : {size_t{1}, size_t{64}}) {
     SCOPED_TRACE("batch=" + std::to_string(batch));
     DiffScenarioResult direct = RunDiffScenario({.batch_capacity = batch});
     DiffScenarioResult inline_mode =
@@ -296,7 +296,7 @@ TEST(AsyncIoDifferentialTest, InlineDispatcherIsByteIdenticalPlainPool) {
 }
 
 TEST(AsyncIoDifferentialTest, InlineDispatcherIsByteIdenticalShardedPool) {
-  for (size_t batch : {size_t{0}, size_t{64}}) {
+  for (size_t batch : {size_t{1}, size_t{64}}) {
     SCOPED_TRACE("batch=" + std::to_string(batch));
     DiffScenarioResult direct =
         RunDiffScenario({.sharded = true, .batch_capacity = batch});

@@ -9,6 +9,15 @@
 // same pieces (DiffScenarioConfig::make_policy swaps the policy under
 // record).
 //
+// Two kinds of check run on it. A differential compares two pool
+// configurations byte for byte (ExpectScenarioEq). The replay oracle
+// (ExpectMatchesReplayOracle) compares one pool run against the paper's
+// definition itself: the run logs every fetch, NewPage and DeletePage,
+// and the log is replayed on a fresh, bare policy with RunSimulation's
+// per-reference rule, so the pool must reproduce the policy's own
+// eviction sequence, clock, hits and misses, and its disk images must
+// match a last-writer model of the workload's stamps.
+//
 // Everything is inline and header-only: each test binary stays standalone,
 // and the compiler sees one definition per TU.
 
@@ -22,6 +31,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "bufferpool/buffer_pool.h"
@@ -62,12 +72,30 @@ inline void ExpectIoStatsEq(const IoStats& a, const IoStats& b) {
   EXPECT_DOUBLE_EQ(a.simulated_micros, b.simulated_micros);
 }
 
-inline std::vector<PageId> AllocateDb(PoolInterface& pool, uint64_t n) {
+// One pool operation as the replacement policy sees it: a fetch (a
+// reference), a NewPage (an admission of a fresh id, as a write) or a
+// DeletePage (a Remove). `stamp` is the value a write fetch copies into
+// the page's first bytes; `shard` is the owning shard (0 for a plain
+// pool), filled in after the run.
+struct PoolOp {
+  enum class Kind { kFetch, kNew, kDelete };
+  Kind kind = Kind::kFetch;
+  PageId page = kInvalidPageId;
+  AccessType type = AccessType::kRead;
+  int stamp = 0;
+  size_t shard = 0;
+};
+
+inline std::vector<PageId> AllocateDb(PoolInterface& pool, uint64_t n,
+                                      std::vector<PoolOp>* log = nullptr) {
   std::vector<PageId> pages;
   for (uint64_t i = 0; i < n; ++i) {
     auto page = pool.NewPage();
     EXPECT_TRUE(page.ok());
     pages.push_back((*page)->id());
+    if (log != nullptr) {
+      log->push_back({PoolOp::Kind::kNew, (*page)->id(), AccessType::kWrite});
+    }
     EXPECT_TRUE(pool.UnpinPage((*page)->id(), true).ok());
   }
   return pages;
@@ -79,7 +107,7 @@ inline std::vector<PageId> AllocateDb(PoolInterface& pool, uint64_t n) {
 // the true victim order). Unused EvictBatch nominees come back in reverse
 // nomination order, but a batch's CONSUMED nominee stays evicted
 // mid-sequence — so Restore erases the most recent occurrence instead of
-// asserting strict LIFO.
+// asserting strict LIFO. The replay oracle records through it too.
 class RecordingPolicy final : public ReplacementPolicy {
  public:
   explicit RecordingPolicy(std::unique_ptr<ReplacementPolicy> inner)
@@ -145,14 +173,15 @@ constexpr int kDiffOps = 20000;
 // A mixed deterministic workload: skewed fetches, 25% writes, periodic
 // FlushPage, periodic DeletePage + NewPage (id churn through the
 // allocator's free list). Exercises every pool entry point the async
-// stack, the optimistic hit path, and batched publishing touch. Reports
+// stack, the latch-free hit path, and batched publishing touch. Reports
 // the number of delete/new cycles through *delete_cycles (for closed-form
 // policy-clock assertions: clock == hits + misses + initial admissions +
-// delete cycles).
+// delete cycles), and appends every fetch/new/delete to *log when given.
 inline void DriveMixedWorkload(PoolInterface& pool,
                                std::vector<PageId>& pages,
                                int ops = kDiffOps,
-                               int* delete_cycles = nullptr) {
+                               int* delete_cycles = nullptr,
+                               std::vector<PoolOp>* log = nullptr) {
   RecursiveSkewDistribution dist(0.8, 0.2, pages.size());
   RandomEngine rng(/*seed=*/20260809);
   int cycles = 0;
@@ -160,12 +189,13 @@ inline void DriveMixedWorkload(PoolInterface& pool,
     size_t idx = dist.Sample(rng) - 1;
     PageId p = pages[idx];
     bool write = rng.NextBernoulli(0.25);
-    auto page =
-        pool.FetchPage(p, write ? AccessType::kWrite : AccessType::kRead);
+    AccessType type = write ? AccessType::kWrite : AccessType::kRead;
+    auto page = pool.FetchPage(p, type);
     ASSERT_TRUE(page.ok()) << "op " << i;
     if (write) {
       std::memcpy((*page)->Data(), &i, sizeof(i));
     }
+    if (log != nullptr) log->push_back({PoolOp::Kind::kFetch, p, type, i});
     ASSERT_TRUE(pool.UnpinPage(p, write).ok()) << "op " << i;
     if (i % 1009 == 0) {
       ASSERT_TRUE(pool.FlushPage(p).ok());
@@ -175,6 +205,10 @@ inline void DriveMixedWorkload(PoolInterface& pool,
       auto fresh = pool.NewPage();
       ASSERT_TRUE(fresh.ok());
       pages[idx] = (*fresh)->id();
+      if (log != nullptr) {
+        log->push_back({PoolOp::Kind::kDelete, p});
+        log->push_back({PoolOp::Kind::kNew, pages[idx], AccessType::kWrite});
+      }
       ASSERT_TRUE(pool.UnpinPage((*fresh)->id(), true).ok());
       ++cycles;
     }
@@ -194,8 +228,7 @@ struct DiffScenarioConfig {
   size_t capacity = kDiffCapacity;
   uint64_t db_pages = kDiffDbPages;
   int ops = kDiffOps;
-  size_t batch_capacity = 0;
-  bool optimistic = false;
+  size_t batch_capacity = 64;  // 0 is bumped to 64 by the pool.
   bool dispatcher = false;  // Inline unless io_workers > 0.
   size_t io_workers = 0;
   bool async_stack = false;  // Inline dispatcher + background flusher.
@@ -209,19 +242,31 @@ struct DiffScenarioResult {
   // Surviving eviction sequence per policy instance (one for the plain
   // pool, one per shard for the sharded pool).
   std::vector<std::vector<PageId>> evictions;
+  // The workload's final pages; `residency` and `images` are parallel.
+  std::vector<PageId> pages;
   std::vector<bool> residency;
   std::vector<std::string> images;
   // Inner policy logical clocks, parallel to `evictions` (0 when the
   // inner policy is not LRU-K).
   std::vector<Timestamp> clocks;
   int delete_cycles = 0;
+  // The replay oracle's inputs: every fetch/new/delete in issue order,
+  // and each policy instance's capacity (parallel to `evictions`).
+  std::vector<PoolOp> ops;
+  std::vector<size_t> capacities;
 };
+
+inline MakePolicyFn PolicyMaker(const DiffScenarioConfig& config) {
+  if (config.make_policy) return config.make_policy;
+  return [](size_t, size_t) {
+    return std::make_unique<LruKPolicy>(LruKOptions{.k = 2});
+  };
+}
 
 inline DiffScenarioResult RunDiffScenario(const DiffScenarioConfig& config) {
   SimDiskManager disk;
   BufferPoolOptions options;
   options.batch_capacity = config.batch_capacity;
-  options.optimistic_hits = config.optimistic;
   options.io_dispatcher = config.dispatcher;
   options.io_workers = config.io_workers;
   if (config.async_stack) {
@@ -234,16 +279,16 @@ inline DiffScenarioResult RunDiffScenario(const DiffScenarioConfig& config) {
     options.io_dispatcher = true;
     options.readahead = {.enabled = true, .window = 4, .min_run = 3};
   }
-  MakePolicyFn make_policy = config.make_policy;
-  if (!make_policy) {
-    make_policy = [](size_t, size_t) {
-      return std::make_unique<LruKPolicy>(LruKOptions{.k = 2});
-    };
-  }
+  MakePolicyFn make_policy = PolicyMaker(config);
 
   DiffScenarioResult result;
-  std::vector<PageId> pages;
+  std::vector<PageId>& pages = result.pages;
   std::vector<RecordingPolicy*> recorders;
+  auto drive = [&](PoolInterface& pool) {
+    pages = AllocateDb(pool, config.db_pages, &result.ops);
+    DriveMixedWorkload(pool, pages, config.ops, &result.delete_cycles,
+                       &result.ops);
+  };
   auto finish = [&](PoolInterface& pool) {
     result.stats = pool.stats();
     for (RecordingPolicy* r : recorders) {
@@ -258,9 +303,9 @@ inline DiffScenarioResult RunDiffScenario(const DiffScenarioConfig& config) {
         make_policy(0, config.capacity));
     recorders.push_back(policy.get());
     BufferPool pool(config.capacity, &disk, std::move(policy), options);
-    pages = AllocateDb(pool, config.db_pages);
-    DriveMixedWorkload(pool, pages, config.ops, &result.delete_cycles);
+    drive(pool);
     finish(pool);
+    result.capacities.push_back(config.capacity);
   } else {
     recorders.resize(config.num_shards, nullptr);
     ShardedBufferPool pool(
@@ -272,9 +317,12 @@ inline DiffScenarioResult RunDiffScenario(const DiffScenarioConfig& config) {
           return policy;
         },
         options);
-    pages = AllocateDb(pool, config.db_pages);
-    DriveMixedWorkload(pool, pages, config.ops, &result.delete_cycles);
+    drive(pool);
     finish(pool);
+    for (PoolOp& op : result.ops) op.shard = pool.ShardOf(op.page);
+    for (size_t i = 0; i < pool.shard_count(); ++i) {
+      result.capacities.push_back(pool.shard(i).capacity());
+    }
   }
   result.io = disk.stats();
   char buf[kPageSize];
@@ -296,6 +344,97 @@ inline void ExpectScenarioEq(const DiffScenarioResult& a,
   // (same count on both sides, so full equality still holds
   // field-for-field).
   ExpectIoStatsEq(a.io, b.io);
+}
+
+// What a bare policy does with a run's logged operations.
+struct OracleResult {
+  std::vector<std::vector<PageId>> evictions;  // Per policy instance.
+  std::vector<Timestamp> clocks;               // 0 when not LRU-K.
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  std::vector<bool> residency;     // Parallel to the run's `pages`.
+  std::vector<std::string> images;  // Last-writer model, same order.
+};
+
+// Replays `run.ops` on fresh policies built as `config` builds them, one
+// per shard at that shard's capacity. Each fetch or NewPage follows
+// RunSimulation's per-reference rule (resident: RecordAccess; else
+// PrepareAdmit, Evict when full, Admit); a delete Removes. Alongside, a
+// last-writer model tracks each page's image: zeroed by NewPage, stamped
+// by every write fetch, dropped by DeletePage.
+inline OracleResult ReplayOnPolicy(const DiffScenarioConfig& config,
+                                   const DiffScenarioResult& run) {
+  MakePolicyFn make_policy = PolicyMaker(config);
+  std::vector<std::unique_ptr<RecordingPolicy>> policies;
+  for (size_t i = 0; i < run.capacities.size(); ++i) {
+    policies.push_back(std::make_unique<RecordingPolicy>(
+        make_policy(i, run.capacities[i])));
+  }
+  OracleResult oracle;
+  std::unordered_map<PageId, std::string> model;
+  for (const PoolOp& op : run.ops) {
+    RecordingPolicy& policy = *policies[op.shard];
+    if (op.kind == PoolOp::Kind::kDelete) {
+      if (policy.IsResident(op.page)) policy.Remove(op.page);
+      model.erase(op.page);
+      continue;
+    }
+    if (op.kind == PoolOp::Kind::kNew) {
+      model[op.page] = std::string(kPageSize, '\0');
+    } else if (op.type == AccessType::kWrite) {
+      std::memcpy(model[op.page].data(), &op.stamp, sizeof(op.stamp));
+    }
+    const bool resident = policy.IsResident(op.page);
+    if (op.kind == PoolOp::Kind::kFetch) {
+      ++(resident ? oracle.hits : oracle.misses);
+    }
+    if (resident) {
+      policy.RecordAccess(op.page, op.type);
+      continue;
+    }
+    policy.PrepareAdmit(op.page);
+    if (policy.ResidentCount() == run.capacities[op.shard]) {
+      EXPECT_TRUE(policy.Evict().has_value());
+    }
+    policy.Admit(op.page, op.type);
+  }
+  for (const auto& policy : policies) {
+    oracle.evictions.push_back(policy->evictions());
+    const auto* lruk = dynamic_cast<const LruKPolicy*>(&policy->inner());
+    oracle.clocks.push_back(lruk != nullptr ? lruk->CurrentTime() : 0);
+  }
+  // Every final page was logged (NewPage at least), so the log knows its
+  // shard.
+  std::unordered_map<PageId, size_t> shard_of;
+  for (const PoolOp& op : run.ops) shard_of[op.page] = op.shard;
+  for (PageId p : run.pages) {
+    oracle.residency.push_back(policies[shard_of[p]]->IsResident(p));
+    oracle.images.push_back(model[p]);
+  }
+  return oracle;
+}
+
+// The pool run must be the bare policy's replay: same surviving eviction
+// sequence per shard, same LRU-K clock, same hits/misses/evictions, same
+// final residency; its disk images must be the last writer's; and every
+// miss must be exactly one physical read. Holds single-threaded for any
+// pool configuration whose admissions are all demand references — not
+// with readahead, whose prefetch admissions are not in the reference
+// string.
+inline void ExpectMatchesReplayOracle(const DiffScenarioConfig& config,
+                                      const DiffScenarioResult& run) {
+  OracleResult oracle = ReplayOnPolicy(config, run);
+  EXPECT_EQ(run.evictions, oracle.evictions);
+  EXPECT_EQ(run.clocks, oracle.clocks);
+  EXPECT_EQ(run.stats.hits, oracle.hits);
+  EXPECT_EQ(run.stats.misses, oracle.misses);
+  size_t evicted = 0;
+  for (const auto& shard : oracle.evictions) evicted += shard.size();
+  EXPECT_EQ(run.stats.evictions, evicted);
+  EXPECT_EQ(run.residency, oracle.residency);
+  EXPECT_EQ(run.images, oracle.images);
+  EXPECT_EQ(run.io.reads, run.stats.misses);
+  EXPECT_EQ(run.stats.access_drops, 0u);
 }
 
 }  // namespace difftest

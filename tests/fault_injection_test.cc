@@ -642,10 +642,7 @@ struct SweepPoint {
   uint64_t seed = 0;
   double fault_rate = 0.0;
   PoolKind kind = PoolKind::kPlain;
-  // Hit path: the latch-free default, or the exact latched path.
-  bool latch_free = true;
-  // A small access ring (8 per stripe) instead of the hit path's default:
-  // none on the latched path, 64 on the latch-free one.
+  // A small access ring (8 per stripe) instead of the default 64.
   bool batched = false;
 };
 
@@ -666,12 +663,7 @@ SweepResult RunSweepPoint(const SweepPoint& point) {
   FaultInjectingDiskManager disk(&inner, point.seed);
 
   BufferPoolOptions options;
-  options.optimistic_hits = point.latch_free;
-  if (point.batched) {
-    options.batch_capacity = 8;
-  } else if (!point.latch_free) {
-    options.batch_capacity = 0;
-  }
+  if (point.batched) options.batch_capacity = 8;
   if (point.seed % 2 == 1) {
     options.io_retry.max_attempts = 2;  // Null sleep: immediate re-issue.
   }
@@ -802,21 +794,17 @@ SweepResult RunSweepPoint(const SweepPoint& point) {
 
 TEST(FaultSweepTest, GridOfSeedsRatesPoolsAndBatching) {
   const double kRates[] = {0.0, 0.05, 0.15, 0.3};
-  // Hit-path x batching cells: {latch_free, batched}.
-  const std::pair<bool, bool> kPaths[] = {
-      {false, false}, {false, true}, {true, false}, {true, true}};
   int points = 0;
   int faulted_points = 0;
   for (uint64_t seed = 1; seed <= 13; ++seed) {
     for (double rate : kRates) {
       for (PoolKind kind : {PoolKind::kPlain, PoolKind::kSharded}) {
-        for (auto [latch_free, batched] : kPaths) {
-          SweepPoint point{seed * 7919, rate, kind, latch_free, batched};
+        for (bool batched : {false, true}) {
+          SweepPoint point{seed * 7919, rate, kind, batched};
           SCOPED_TRACE(::testing::Message()
                        << "seed=" << point.seed << " rate=" << rate
                        << " kind=" << (kind == PoolKind::kPlain ? "plain"
                                                                 : "sharded")
-                       << " latch_free=" << latch_free
                        << " batched=" << batched);
           SweepResult first = RunSweepPoint(point);
           if (::testing::Test::HasFatalFailure()) return;
@@ -840,8 +828,8 @@ TEST(FaultSweepTest, GridOfSeedsRatesPoolsAndBatching) {
     }
   }
   EXPECT_GE(points, 200);  // The acceptance bar: >= 200 grid points.
-  EXPECT_EQ(points, 13 * 4 * 2 * 4);
-  EXPECT_EQ(faulted_points, 13 * 3 * 2 * 4);
+  EXPECT_EQ(points, 13 * 4 * 2 * 2);
+  EXPECT_EQ(faulted_points, 13 * 3 * 2 * 2);
 }
 
 // ---------------------------------------------------------------------------

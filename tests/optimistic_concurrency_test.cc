@@ -57,7 +57,6 @@ std::vector<PageId> AllocateDb(PoolInterface& pool, uint64_t n) {
 TEST(OptimisticConcurrencyTest, HotPageHammerStaysCoherent) {
   SimDiskManager disk;
   BufferPoolOptions options;
-  options.optimistic_hits = true;
   options.batch_capacity = 64;
   BufferPool pool(8, &disk,
                   std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);
@@ -154,7 +153,6 @@ void ChurnThread(PoolInterface& pool, const std::vector<PageId>& pages,
 TEST(OptimisticConcurrencyTest, MixedChurnKeepsPlainPoolInvariants) {
   SimDiskManager disk;
   BufferPoolOptions options;
-  options.optimistic_hits = true;
   options.batch_capacity = 64;
   options.io_dispatcher = true;
   options.io_workers = 4;
@@ -206,7 +204,6 @@ TEST(OptimisticConcurrencyTest, DeleteReuseChurnUnderOptimisticReaders) {
 
   SimDiskManager disk;
   BufferPoolOptions options;
-  options.optimistic_hits = true;
   BufferPool pool(16, &disk,
                   std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);
   std::vector<PageId> initial = AllocateDb(pool, kSlots);
@@ -274,7 +271,6 @@ TEST(OptimisticConcurrencyTest, DeleteReuseChurnUnderOptimisticReaders) {
 TEST(OptimisticConcurrencyTest, ShardedChurnComposesWithPoolReadahead) {
   SimDiskManager disk;
   BufferPoolOptions options;
-  options.optimistic_hits = true;
   options.batch_capacity = 64;
   options.io_dispatcher = true;
   options.io_workers = 4;

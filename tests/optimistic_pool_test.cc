@@ -1,6 +1,5 @@
-// The optimistic hit path (BufferPoolOptions::optimistic_hits),
-// deterministic half (the threaded half lives in
-// optimistic_concurrency_test.cc).
+// The latch-free (optimistic) hit path every pool runs, deterministic
+// half (the threaded half lives in optimistic_concurrency_test.cc).
 //
 // Coverage layers:
 //  * PageTable units — insert/find/erase round-trips against a reference
@@ -8,25 +7,27 @@
 //    LockBucket forcing optimistic readers to fall back, UnlockErased
 //    removing the mapping, OptimisticFind/Validate agreeing with the
 //    latched surface when nothing is mutating.
-//  * Differential battery — with optimistic_hits ON, both pools produce
-//    BYTE-IDENTICAL single-threaded behaviour to the latched path over the
-//    same 20k-op mixed workload async_io_test.cc uses: same counters, same
-//    victim sequence, same IoStats, same residency, same disk images —
-//    with the async stack (inline dispatcher + flusher) off and on, and
-//    with batch_capacity 64 (the default) and an explicit 0 bumped to 64.
+//  * Replay-oracle battery — single-threaded, both pools reproduce a bare
+//    LRU-2 policy replaying the same 20k-op mixed workload
+//    async_io_test.cc uses (differential_harness.h): same surviving
+//    victim sequence, clock, hits and misses, same residency, and disk
+//    images equal to a last-writer model — with the async stack (inline
+//    dispatcher + flusher) off and on, and with a capacity-1 ring. An
+//    explicit batch_capacity 0 is bumped to 64, byte-identical to 64.
 //  * Zero-mutex hit — a warm optimistic fetch/unpin pair acquires the pool
 //    latch ZERO times, asserted via the latch_acquires counter, including
 //    with default-constructed options on both pool shapes.
-//  * Readahead interaction — readahead and the optimistic fast path
+//  * Readahead interaction — readahead and the latch-free hit path
 //    compose on both pool shapes (the voting detector's Observe is
-//    wait-free), staying byte-identical to the latched pool with the
-//    same detector; a non-triggering warm hit stays at zero latches.
+//    wait-free): prefetches are issued, nothing is dropped, and the disk
+//    images are the last writer's; a non-triggering warm hit stays at zero
+//    latches.
 //  * StatsSnapshot — the lock-free snapshot equals the draining stats()
 //    when the pool is quiescent.
-//  * Error paths — optimistic UnpinPage/DeletePage report the same status
-//    codes as the latched pool (NotFound, InvalidArgument), pinned pages
-//    are never victims (pin counts as ground truth), ResourceExhausted
-//    when every frame is pinned, and id reuse after delete works.
+//  * Error paths — UnpinPage/DeletePage report NotFound and
+//    InvalidArgument, pinned pages are never victims (pin counts as
+//    ground truth), ResourceExhausted when every frame is pinned, and id
+//    reuse after delete works.
 
 #include <iterator>
 #include <memory>
@@ -50,8 +51,11 @@ namespace {
 using difftest::AllocateDb;
 using difftest::DiffScenarioConfig;
 using difftest::DiffScenarioResult;
+using difftest::ExpectMatchesReplayOracle;
 using difftest::ExpectPoolStatsEq;
 using difftest::ExpectScenarioEq;
+using difftest::OracleResult;
+using difftest::ReplayOnPolicy;
 using difftest::RunDiffScenario;
 
 // ---------------------------------------------------------------------------
@@ -170,81 +174,63 @@ TEST(OptimisticPageTableTest, UnlockErasedRemovesTheMapping) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential battery: optimistic_hits vs the latched path —
-// byte-identical single-threaded. Workload and scaffolding live in
-// differential_harness.h (shared with async_io_test.cc and
-// batched_access_test.cc); this suite runs it with batch_capacity 64 —
-// the default, and what an explicit 0 is bumped to in optimistic mode.
+// Replay-oracle battery: the pool against a bare policy replaying its
+// logged references (differential_harness.h). The "MatchesLatchedPath"
+// names predate the replay; no latched hit path exists to compare with.
 
-DiffScenarioResult RunScenario(DiffScenarioConfig config) {
-  if (config.batch_capacity == 0) config.batch_capacity = 64;
-  return RunDiffScenario(config);
+// The latch-free path ran on every warm hit and never misfired:
+// single-threaded, nothing invalidates a probe mid-flight, so every
+// fallback is an honest probe miss (the page was simply absent) — never a
+// version conflict or a displacement-bound overflow.
+void ExpectCleanFastPath(const BufferPoolStats& stats) {
+  EXPECT_EQ(stats.optimistic_hits, stats.hits);
+  EXPECT_EQ(stats.optimistic_fallbacks, stats.misses);
+  EXPECT_EQ(stats.fallback_probe_miss, stats.misses);
+  EXPECT_EQ(stats.fallback_version_conflict, 0u);
+  EXPECT_EQ(stats.fallback_resize, 0u);
+  EXPECT_EQ(stats.pin_cas_retries, 0u);
 }
 
 TEST(OptimisticDifferentialTest, MatchesLatchedPathPlainPool) {
-  DiffScenarioResult latched = RunScenario({.optimistic = false});
-  DiffScenarioResult optimistic = RunScenario({.optimistic = true});
-  ExpectScenarioEq(latched, optimistic);
-  // The fast path actually ran (warm hits dominate a skewed workload) and
-  // never misfired: single-threaded, nothing invalidates a probe
-  // mid-flight, so every fallback is an honest probe miss (the page was
-  // simply absent) — never a version conflict or a displacement-bound
-  // overflow — and the attribution split is exact.
-  EXPECT_GT(optimistic.stats.optimistic_hits, 0u);
-  EXPECT_EQ(optimistic.stats.optimistic_fallbacks, optimistic.stats.misses);
-  EXPECT_EQ(optimistic.stats.fallback_probe_miss, optimistic.stats.misses);
-  EXPECT_EQ(optimistic.stats.fallback_version_conflict, 0u);
-  EXPECT_EQ(optimistic.stats.fallback_resize, 0u);
-  EXPECT_EQ(optimistic.stats.optimistic_fallbacks,
-            optimistic.stats.fallback_probe_miss +
-                optimistic.stats.fallback_version_conflict +
-                optimistic.stats.fallback_resize);
-  EXPECT_EQ(optimistic.stats.access_drops, 0u);
-  EXPECT_EQ(optimistic.stats.pin_cas_retries, 0u);
-  EXPECT_EQ(latched.stats.optimistic_hits, 0u);
-  EXPECT_EQ(latched.stats.access_drops, 0u);
-  // Latch-free hits show up as the acquisition gap between the modes.
-  EXPECT_LT(optimistic.stats.latch_acquires, latched.stats.latch_acquires);
+  DiffScenarioConfig config;
+  DiffScenarioResult run = RunDiffScenario(config);
+  ExpectMatchesReplayOracle(config, run);
+  ExpectCleanFastPath(run.stats);
+  EXPECT_GT(run.stats.evictions, 0u);
+  // Warm hits take no latch, so acquisitions stay well below one per op.
+  EXPECT_LT(run.stats.latch_acquires, run.stats.hits);
 }
 
 TEST(OptimisticDifferentialTest, MatchesLatchedPathShardedPool) {
-  DiffScenarioResult latched = RunScenario({.sharded = true, .optimistic = false});
-  DiffScenarioResult optimistic =
-      RunScenario({.sharded = true, .optimistic = true});
-  ExpectScenarioEq(latched, optimistic);
-  EXPECT_GT(optimistic.stats.optimistic_hits, 0u);
+  DiffScenarioConfig config{.sharded = true};
+  DiffScenarioResult run = RunDiffScenario(config);
+  ExpectMatchesReplayOracle(config, run);
+  ExpectCleanFastPath(run.stats);
 }
 
 TEST(OptimisticDifferentialTest, MatchesLatchedPathUnderAsyncStack) {
-  // Inline dispatcher + background flusher: the optimistic flusher pass
-  // (pop-until-batch-unpinned + bucket-locked write-back) must peek the
-  // same victims and clean the same pages as the latched one.
+  // Inline dispatcher + background flusher: the flusher pass
+  // (pop-until-batch-unpinned + bucket-locked write-back) peeks victims
+  // and restores them exactly, so the replay still matches.
   for (bool sharded : {false, true}) {
     SCOPED_TRACE(sharded ? "sharded" : "plain");
-    DiffScenarioResult latched =
-        RunScenario({.sharded = sharded, .optimistic = false,
-                     .async_stack = true});
-    DiffScenarioResult optimistic =
-        RunScenario({.sharded = sharded, .optimistic = true,
-                     .async_stack = true});
-    ExpectScenarioEq(latched, optimistic);
-    EXPECT_GT(optimistic.stats.optimistic_hits, 0u);
-    EXPECT_GT(optimistic.stats.background_cleans, 0u);
+    DiffScenarioConfig config{.sharded = sharded, .async_stack = true};
+    DiffScenarioResult run = RunDiffScenario(config);
+    ExpectMatchesReplayOracle(config, run);
+    ExpectCleanFastPath(run.stats);
+    EXPECT_GT(run.stats.background_cleans, 0u);
   }
 }
 
 TEST(OptimisticDifferentialTest, DefaultBatchAutoBumpMatchesExplicit) {
-  // optimistic_hits with batch_capacity set to 0 is bumped to 64 (a
-  // latch-free hit can only publish through the AccessBuffer).
-  DiffScenarioResult defaulted =
-      RunDiffScenario({.batch_capacity = 0, .optimistic = true});
-  DiffScenarioResult explicit_batch =
-      RunDiffScenario({.batch_capacity = 64, .optimistic = true});
+  // batch_capacity set to 0 is bumped to 64 (a latch-free hit can only
+  // publish through the AccessBuffer).
+  DiffScenarioResult defaulted = RunDiffScenario({.batch_capacity = 0});
+  DiffScenarioResult explicit_batch = RunDiffScenario({.batch_capacity = 64});
   ExpectScenarioEq(defaulted, explicit_batch);
 
   SimDiskManager disk;
   BufferPoolOptions options;
-  options.optimistic_hits = true;
   options.batch_capacity = 0;
   BufferPool pool(8, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
                   options);
@@ -252,36 +238,35 @@ TEST(OptimisticDifferentialTest, DefaultBatchAutoBumpMatchesExplicit) {
 }
 
 TEST(OptimisticDifferentialTest, ReadaheadComposesAndStaysIdentical) {
-  // Readahead + optimistic_hits COMPOSE on both pool shapes: the voting
-  // detector's Observe is wait-free, so warm hits stay latch-free while
-  // the detector watches the full fetch stream — and the combined pool is
-  // still byte-identical to the latched pool with the same detector.
+  // Readahead and the latch-free hit path COMPOSE on both pool shapes: the
+  // voting detector's Observe is wait-free, so warm hits stay latch-free
+  // while the detector watches the fetch stream. Prefetch admissions are
+  // not in the reference string, so there is no policy replay to match;
+  // the counters and the last-writer disk images still must hold.
   for (bool sharded : {false, true}) {
     SCOPED_TRACE(sharded ? "sharded" : "plain");
-    DiffScenarioResult latched = RunScenario(
-        {.sharded = sharded, .optimistic = false, .readahead = true});
-    DiffScenarioResult optimistic = RunScenario(
-        {.sharded = sharded, .optimistic = true, .readahead = true});
-    ExpectScenarioEq(latched, optimistic);
-    EXPECT_GT(optimistic.stats.optimistic_hits, 0u);
-    EXPECT_GT(optimistic.stats.prefetch_issued, 0u);
-    EXPECT_EQ(optimistic.stats.access_drops, 0u);
+    DiffScenarioConfig config{.sharded = sharded, .readahead = true};
+    DiffScenarioResult run = RunDiffScenario(config);
+    OracleResult oracle = ReplayOnPolicy(config, run);
+    EXPECT_EQ(run.images, oracle.images);
+    EXPECT_EQ(run.stats.hits + run.stats.misses,
+              oracle.hits + oracle.misses);
+    EXPECT_GT(run.stats.optimistic_hits, 0u);
+    EXPECT_GT(run.stats.prefetch_issued, 0u);
+    EXPECT_EQ(run.stats.access_drops, 0u);
   }
 }
 
 TEST(OptimisticDifferentialTest, TinyRingRefusalPathStaysIdentical) {
   // batch_capacity 1: nearly every publish lands on the ring-full refusal
   // path (drain under the latch + apply directly). The FIFO contract must
-  // hold across the refusals — byte-identical again — and single-threaded
-  // nothing is ever dropped, even with zero capacity headroom.
-  DiffScenarioResult latched =
-      RunScenario({.batch_capacity = 1, .optimistic = false});
-  DiffScenarioResult optimistic =
-      RunScenario({.batch_capacity = 1, .optimistic = true});
-  ExpectScenarioEq(latched, optimistic);
-  EXPECT_GT(optimistic.stats.optimistic_hits, 0u);
-  EXPECT_EQ(optimistic.stats.access_drops, 0u);
-  EXPECT_EQ(latched.stats.access_drops, 0u);
+  // hold across the refusals — the replay matches again — and
+  // single-threaded nothing is ever dropped, even with zero capacity
+  // headroom.
+  DiffScenarioConfig config{.batch_capacity = 1};
+  DiffScenarioResult run = RunDiffScenario(config);
+  ExpectMatchesReplayOracle(config, run);
+  EXPECT_GT(run.stats.optimistic_hits, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -291,7 +276,6 @@ TEST(OptimisticHitPathTest, WarmHitAcquiresNoLatch) {
   constexpr size_t kPages = 64;
   SimDiskManager disk;
   BufferPoolOptions options;
-  options.optimistic_hits = true;
   // Room for every record this loop publishes, so no drain is triggered.
   options.batch_capacity = 256;
   BufferPool pool(128, &disk,
@@ -328,7 +312,6 @@ TEST(OptimisticHitPathTest, WarmHitStaysLatchFreeWithReadaheadOn) {
   // is the detector's cheapest case — and must stay at zero latches.
   SimDiskManager disk;
   BufferPoolOptions options;
-  options.optimistic_hits = true;
   options.batch_capacity = 256;
   options.io_dispatcher = true;  // Inline workers.
   options.readahead = {.enabled = true, .window = 4, .min_run = 3};
@@ -377,10 +360,8 @@ TEST(OptimisticHitPathTest, DefaultOptionsServeWarmHitsWithoutTheLatch) {
 
 TEST(OptimisticHitPathTest, StatsSnapshotMatchesStatsWhenQuiescent) {
   SimDiskManager disk;
-  BufferPoolOptions options;
-  options.optimistic_hits = true;
   BufferPool pool(16, &disk,
-                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);
+                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   std::vector<PageId> pages = AllocateDb(pool, 48);
   RecursiveSkewDistribution dist(0.8, 0.2, pages.size());
   RandomEngine rng(/*seed=*/11);
@@ -410,41 +391,29 @@ TEST(OptimisticHitPathTest, StatsSnapshotMatchesStatsWhenQuiescent) {
 // Error paths and the pin protocol.
 
 TEST(OptimisticHitPathTest, UnpinErrorsMatchLatchedCodes) {
-  SimDiskManager latched_disk;
-  SimDiskManager optimistic_disk;
-  BufferPoolOptions optimistic_options;
-  optimistic_options.optimistic_hits = true;
-  BufferPool latched(4, &latched_disk,
-                     std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
-  BufferPool optimistic(4, &optimistic_disk,
-                        std::make_unique<LruKPolicy>(LruKOptions{.k = 2}),
-                        optimistic_options);
-
-  for (BufferPool* pool : {&latched, &optimistic}) {
-    std::vector<PageId> pages = AllocateDb(*pool, 2);
-    // Non-resident page: NotFound through both paths.
-    EXPECT_EQ(pool->UnpinPage(999, false).code(), StatusCode::kNotFound);
-    // Resident but unpinned: InvalidArgument through both paths (the
-    // optimistic probe sees pin == 0 and defers to the latched path for
-    // the authoritative error).
-    EXPECT_EQ(pool->UnpinPage(pages[0], false).code(),
-              StatusCode::kInvalidArgument);
-    // Balanced unpin still works afterwards.
-    auto page = pool->FetchPage(pages[0]);
-    ASSERT_TRUE(page.ok());
-    EXPECT_TRUE(pool->UnpinPage(pages[0], false).ok());
-  }
+  SimDiskManager disk;
+  BufferPool pool(4, &disk, std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
+  std::vector<PageId> pages = AllocateDb(pool, 2);
+  // Non-resident page: the probe misses and the latched path reports
+  // NotFound.
+  EXPECT_EQ(pool.UnpinPage(999, false).code(), StatusCode::kNotFound);
+  // Resident but unpinned: the probe sees pin == 0 and defers to the
+  // latched path for the authoritative InvalidArgument.
+  EXPECT_EQ(pool.UnpinPage(pages[0], false).code(),
+            StatusCode::kInvalidArgument);
+  // Balanced unpin still works afterwards.
+  auto page = pool.FetchPage(pages[0]);
+  ASSERT_TRUE(page.ok());
+  EXPECT_TRUE(pool.UnpinPage(pages[0], false).ok());
 }
 
 TEST(OptimisticHitPathTest, PinCountsAreEvictionGroundTruth) {
-  // In optimistic mode SetEvictable is never used — AcquireFrame trusts
-  // the atomic pin counts. Pinned pages must survive eviction pressure
-  // and exhaust the pool exactly like the latched mode.
+  // The pool never calls SetEvictable — AcquireFrame trusts the atomic
+  // pin counts. Pinned pages must survive eviction pressure, and a pool
+  // with every frame pinned is exhausted.
   SimDiskManager disk;
-  BufferPoolOptions options;
-  options.optimistic_hits = true;
   BufferPool pool(4, &disk,
-                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);
+                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   std::vector<PageId> pages = AllocateDb(pool, 8);
 
   std::vector<Page*> pinned;
@@ -475,10 +444,8 @@ TEST(OptimisticHitPathTest, PinCountsAreEvictionGroundTruth) {
 
 TEST(OptimisticHitPathTest, DeleteRefusesPinnedAndReusesIds) {
   SimDiskManager disk;
-  BufferPoolOptions options;
-  options.optimistic_hits = true;
   BufferPool pool(4, &disk,
-                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}), options);
+                  std::make_unique<LruKPolicy>(LruKOptions{.k = 2}));
   std::vector<PageId> pages = AllocateDb(pool, 4);
 
   auto page = pool.FetchPage(pages[0]);
