@@ -27,8 +27,9 @@
 //    the per-shard breakdown for observability. Hit/miss counting
 //    semantics are BufferPoolStats's (re-pins count as hits).
 //  * The DiskManager must be thread-safe: shards issue reads/write-backs
-//    concurrently under their own latches. SimDiskManager and
-//    FileDiskManager are internally latched.
+//    concurrently under their own latches. FileDiskManager is internally
+//    latched; SimDiskManager latches one page-store stripe per read or
+//    write, so shards missing on different pages do not queue on it.
 //  * DeletePage frees the disk id for reuse, so a thread that fetches a
 //    page id concurrently with (or after) another thread's delete may get
 //    NotFound, a freshly reallocated page whose contents it does not
@@ -145,8 +146,9 @@ class ShardedBufferPool final : public PoolInterface {
   size_t shard_mask_;
   DiskManager* disk_;
   // Serializes page-id allocation and deletion at the pool level. Lock
-  // order is alloc_latch_ -> shard latch -> disk latch; nothing acquires
-  // them in the reverse direction.
+  // order is alloc_latch_ -> shard latch -> disk allocator -> stripe
+  // (SimDiskManager's two latches); nothing acquires them in the reverse
+  // direction.
   std::mutex alloc_latch_;
   // Ids handed out by the allocator whose shard admission has not settled
   // yet (guarded by alloc_latch_). DeletePage refuses these: a stale

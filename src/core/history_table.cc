@@ -110,11 +110,9 @@ HistoryBlock& HistoryTable::GetOrCreate(PageId p, Timestamp now,
     return *block;
   }
   HistoryBlock& block = *slots_[i].block;
-  if (!block.resident) {
-    // The page is coming back into the buffer: it stops being a
-    // history-only block (the caller marks it resident).
-    nonresident_.erase({block.last, p});
-  }
+  // The page is coming back into the buffer: it stops being a
+  // history-only block (the caller marks it resident).
+  Unretain(p, block);
   if (Expired(block, now)) {
     // The demon would have purged this block already; treat it as absent.
     block = HistoryBlock(k_);
@@ -133,29 +131,39 @@ void HistoryTable::OnEvicted(PageId p, HistoryBlock& block) {
 
 void HistoryTable::RetainEvicted(PageId p, HistoryBlock& block) {
   LRUK_ASSERT(!block.resident, "RetainEvicted on a resident block");
-  nonresident_.insert({block.last, p});
+  LRUK_ASSERT(!block.in_nonresident, "RetainEvicted on a retained block");
+  block.in_nonresident = true;
+  ++nonresident_;
+  if (max_nonresident_ == 0) return;
+  nonresident_index_.insert({block.last, p});
   // Enforce the history budget: drop the longest-idle history-only block
   // (possibly the one just evicted, if everything else is fresher).
-  while (max_nonresident_ != 0 && nonresident_.size() > max_nonresident_) {
-    auto oldest = nonresident_.begin();
-    PageId victim = oldest->second;
-    nonresident_.erase(oldest);
+  while (nonresident_ > max_nonresident_) {
+    PageId victim = nonresident_index_.begin()->second;
     size_t i = FindSlot(victim);
     LRUK_ASSERT(i != kNpos, "non-resident index out of sync with table");
-    free_blocks_.push_back(slots_[i].block);
-    EraseSlotAt(i);
-    --size_;
+    EraseAt(i);
   }
+}
+
+void HistoryTable::Unretain(PageId p, HistoryBlock& block) {
+  if (!block.in_nonresident) return;
+  block.in_nonresident = false;
+  --nonresident_;
+  if (max_nonresident_ != 0) nonresident_index_.erase({block.last, p});
+}
+
+void HistoryTable::EraseAt(size_t i) {
+  HistoryBlock* block = slots_[i].block;
+  Unretain(slots_[i].page, *block);
+  free_blocks_.push_back(block);
+  EraseSlotAt(i);
+  --size_;
 }
 
 void HistoryTable::Erase(PageId p) {
   size_t i = FindSlot(p);
-  if (i == kNpos) return;
-  HistoryBlock* block = slots_[i].block;
-  if (!block->resident) nonresident_.erase({block->last, p});
-  free_blocks_.push_back(block);
-  EraseSlotAt(i);
-  --size_;
+  if (i != kNpos) EraseAt(i);
 }
 
 size_t HistoryTable::PurgeExpired(Timestamp now) {

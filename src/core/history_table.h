@@ -105,6 +105,12 @@ struct HistoryBlock {
   // needs no side lookup. Reset (like everything else) when retained
   // information expires — the policy re-pushes on the next Admit.
   bool in_victim_heap = false;
+  // Whether HistoryTable counts this block as retained non-resident
+  // history (RetainEvicted registered it and no re-admission, Restore or
+  // Erase has taken it back). Differs from !resident for an EvictBatch
+  // nominee whose retention is still deferred: it is non-resident but not
+  // yet counted.
+  bool in_nonresident = false;
 
   // Default-constructible (K = 1) so slab chunks can be allocated as
   // arrays; HistoryTable re-initializes each block with its real K on
@@ -175,18 +181,21 @@ class HistoryTable {
   void OnEvicted(PageId p, HistoryBlock& block);
 
   // The retention half of OnEvicted for a block already marked
-  // non-resident: registers it in the non-resident index and enforces the
-  // budget. LruKPolicy's batched nomination defers this step until the
-  // nominations settle, so a nominate-then-Restore round trip never
-  // touches the budget. Same caveat as OnEvicted: may free blocks,
-  // including the one passed in.
+  // non-resident: counts it as retained (in_nonresident) and, under a
+  // budget, indexes it and enforces the budget. LruKPolicy's batched
+  // nomination defers this step until the nominations settle, so a
+  // nominate-then-Restore round trip never touches the count or the
+  // budget. Same caveat as OnEvicted: may free blocks, including the one
+  // passed in.
   void RetainEvicted(PageId p, HistoryBlock& block);
 
   // Drops the block for p entirely (page deleted from the database).
   void Erase(PageId p);
 
-  // Number of history-only (non-resident) blocks currently retained.
-  size_t NonResidentCount() const { return nonresident_.size(); }
+  // Number of history-only (non-resident) blocks currently retained: the
+  // blocks with in_nonresident set. Exact under every budget, including
+  // the unbounded default, which keeps no index.
+  size_t NonResidentCount() const { return nonresident_; }
 
   // The retained-information demon: drops every non-resident block with
   // now - last > RIP. Returns the number of blocks purged. O(table size).
@@ -244,6 +253,11 @@ class HistoryTable {
   void EraseSlotAt(size_t i);
   void Grow();
   HistoryBlock* AllocateBlock();
+  // Takes a counted non-resident block back out of the count (and the
+  // budget's index); a no-op for any other block.
+  void Unretain(PageId p, HistoryBlock& block);
+  // Unretains slot i's block, frees it and empties the slot.
+  void EraseAt(size_t i);
 
   int k_;
   Timestamp rip_;
@@ -253,10 +267,15 @@ class HistoryTable {
   std::vector<Slot> slots_;
   std::vector<std::unique_ptr<HistoryBlock[]>> chunks_;
   std::vector<HistoryBlock*> free_blocks_;
-  // Non-resident blocks ordered by LAST (oldest first). LAST of a
-  // non-resident block never changes (a reference makes the page resident
-  // again), so entries are stable until removal.
-  std::set<std::pair<Timestamp, PageId>> nonresident_;
+  // Count of blocks with in_nonresident set.
+  size_t nonresident_ = 0;
+  // Under a budget (max_nonresident_ != 0) only: the counted non-resident
+  // blocks ordered by (LAST, page), oldest first, which is the order the
+  // budget drops them in. LAST of a non-resident block never changes (a
+  // reference makes the page resident again), so entries are stable until
+  // removal. The unbounded default keeps it empty, so evicting and
+  // re-admitting a page costs no tree insert or erase.
+  std::set<std::pair<Timestamp, PageId>> nonresident_index_;
 };
 
 }  // namespace lruk

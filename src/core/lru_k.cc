@@ -318,8 +318,9 @@ void LruKPolicy::FlushDeferredEvictions() {
 
 void LruKPolicy::Restore(PageId p) {
   // No Tick(): restoring a failed eviction is not a reference. GetOrCreate
-  // pulls the block back out of the non-resident index; if the eviction's
-  // OnEvicted dropped it (budget) or it expired, the page restarts fresh.
+  // takes a retained block back out of the non-resident count (a deferred
+  // EvictBatch nominee was never counted); if the eviction's OnEvicted
+  // dropped it (budget) or it expired, the page restarts fresh.
   bool had_history = false;
   HistoryBlock& block = table_.GetOrCreate(p, time_, &had_history);
   LRUK_ASSERT(!block.resident, "Restore on a resident page");

@@ -127,7 +127,7 @@ class LruKPolicy final : public ReplacementPolicy {
   // non-resident blocks, never victim selection, so deferring them cannot
   // change the sequence — the argument is spelled out in DESIGN.md
   // "Wait-free publish & batched nomination"). History retention for the
-  // nominees is *deferred*: nothing enters the non-resident index (or
+  // nominees is *deferred*: nothing enters the non-resident count (or
   // burns the max_nonresident_history budget) until the next
   // Evict/EvictBatch/Admit/Remove/SettleEvictions call flushes the
   // still-evicted nominees.
@@ -196,7 +196,7 @@ class LruKPolicy final : public ReplacementPolicy {
     table_.SetRetainedInformationPeriod(rip);
   }
   // EvictBatch nominees whose history retention is still deferred (neither
-  // flushed into the non-resident index nor cancelled by a Restore).
+  // flushed into the non-resident count nor cancelled by a Restore).
   size_t PendingDeferredEvictions() const {
     return deferred_evictions_.size();
   }

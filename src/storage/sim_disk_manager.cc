@@ -8,10 +8,11 @@ namespace lruk {
 SimDiskManager::SimDiskManager(SimDiskOptions options) : options_(options) {}
 
 Status SimDiskManager::ReadPage(PageId p, char* out) {
-  std::lock_guard<std::mutex> guard(latch_);
-  auto it = pages_.find(p);
-  if (it == pages_.end()) {
-    ++stats_.read_failures;
+  Stripe& stripe = StripeOf(p);
+  std::lock_guard<std::mutex> guard(stripe.latch);
+  auto it = stripe.pages.find(p);
+  if (it == stripe.pages.end()) {
+    ++stripe.stats.read_failures;
     return Status::NotFound("read of unallocated page " + std::to_string(p));
   }
   if (it->second.data == nullptr) {
@@ -19,29 +20,28 @@ Status SimDiskManager::ReadPage(PageId p, char* out) {
   } else {
     std::memcpy(out, it->second.data.get(), kPageSize);
   }
-  ++stats_.reads;
-  stats_.simulated_micros += options_.read_micros;
+  ++stripe.stats.reads;
   return Status::Ok();
 }
 
 Status SimDiskManager::WritePage(PageId p, const char* data) {
-  std::lock_guard<std::mutex> guard(latch_);
-  auto it = pages_.find(p);
-  if (it == pages_.end()) {
-    ++stats_.write_failures;
+  Stripe& stripe = StripeOf(p);
+  std::lock_guard<std::mutex> guard(stripe.latch);
+  auto it = stripe.pages.find(p);
+  if (it == stripe.pages.end()) {
+    ++stripe.stats.write_failures;
     return Status::NotFound("write of unallocated page " + std::to_string(p));
   }
   if (it->second.data == nullptr) {
     it->second.data = std::make_unique<char[]>(kPageSize);
   }
   std::memcpy(it->second.data.get(), data, kPageSize);
-  ++stats_.writes;
-  stats_.simulated_micros += options_.write_micros;
+  ++stripe.stats.writes;
   return Status::Ok();
 }
 
 Result<PageId> SimDiskManager::AllocatePage() {
-  std::lock_guard<std::mutex> guard(latch_);
+  std::lock_guard<std::mutex> alloc_guard(alloc_latch_);
   PageId p;
   if (!free_list_.empty()) {
     p = free_list_.back();
@@ -49,27 +49,57 @@ Result<PageId> SimDiskManager::AllocatePage() {
   } else {
     p = next_page_id_++;
   }
-  pages_.emplace(p, Slot{});
-  ++stats_.allocations;
+  Stripe& stripe = StripeOf(p);
+  std::lock_guard<std::mutex> guard(stripe.latch);
+  stripe.pages.emplace(p, Slot{});
+  ++stripe.stats.allocations;
+  ++allocated_;
   return p;
 }
 
 Status SimDiskManager::DeallocatePage(PageId p) {
-  std::lock_guard<std::mutex> guard(latch_);
-  auto it = pages_.find(p);
-  if (it == pages_.end()) {
+  std::lock_guard<std::mutex> alloc_guard(alloc_latch_);
+  Stripe& stripe = StripeOf(p);
+  std::lock_guard<std::mutex> guard(stripe.latch);
+  auto it = stripe.pages.find(p);
+  if (it == stripe.pages.end()) {
     return Status::NotFound("deallocation of unallocated page " +
                             std::to_string(p));
   }
-  pages_.erase(it);
+  stripe.pages.erase(it);
   free_list_.push_back(p);
-  ++stats_.deallocations;
+  ++stripe.stats.deallocations;
+  --allocated_;
   return Status::Ok();
 }
 
 uint64_t SimDiskManager::NumAllocatedPages() const {
-  std::lock_guard<std::mutex> guard(latch_);
-  return pages_.size();
+  std::lock_guard<std::mutex> guard(alloc_latch_);
+  return allocated_;
+}
+
+IoStats SimDiskManager::stats() const {
+  IoStats total;
+  for (Stripe& stripe : stripes_) {
+    std::lock_guard<std::mutex> guard(stripe.latch);
+    total.reads += stripe.stats.reads;
+    total.writes += stripe.stats.writes;
+    total.allocations += stripe.stats.allocations;
+    total.deallocations += stripe.stats.deallocations;
+    total.read_failures += stripe.stats.read_failures;
+    total.write_failures += stripe.stats.write_failures;
+  }
+  total.simulated_micros =
+      static_cast<double>(total.reads) * options_.read_micros +
+      static_cast<double>(total.writes) * options_.write_micros;
+  return total;
+}
+
+void SimDiskManager::ResetStats() {
+  for (Stripe& stripe : stripes_) {
+    std::lock_guard<std::mutex> guard(stripe.latch);
+    stripe.stats = IoStats{};
+  }
 }
 
 }  // namespace lruk
