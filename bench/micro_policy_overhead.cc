@@ -8,28 +8,31 @@
 //     claim.
 //
 //  2. Victim-index grid — LRU-2 under each victim-search structure
-//     (lazy_heap / ordered_set / linear; see DESIGN.md "Victim index
-//     structures") at two resident-set sizes, on a 95%-hot / 5%-cold
-//     stream: mostly hits (where the lazy heap does nothing and the
-//     ordered set pays a tree reposition) with enough cold misses to keep
-//     evictions honest. Before timing, the three modes are driven over one
-//     shared trace and their Evict() sequences compared element-wise — the
-//     speedup only counts if the structures are behaviourally identical.
+//     (lazy_heap / linear; see DESIGN.md "Victim index structures") at
+//     two resident-set sizes, on a 95%-hot / 5%-cold stream: mostly hits
+//     (where the lazy heap does nothing) with enough cold misses to keep
+//     evictions honest. Before timing, both modes are driven over one
+//     shared trace and their Evict() sequences compared element-wise.
 //
-// Shape checks:
-//  * victim sequences identical across the three index modes, both sizes;
-//  * lazy_heap >= 1.5x ordered_set referenced-ops throughput at every
-//    resident size (the PR 3 acceptance bar).
+// Every catalog row and index cell is timed kRepetitions times, each on a
+// freshly built and warmed policy, going round-robin over the rows; the
+// tables print the median and the JSON adds the min and max.
+//
+// Shape check: victim sequences identical across the two index modes,
+// both sizes.
 //
 // Flags: --json <path>, --quick, and the provenance flags of
 // bench_common.h (--git-sha/--build-type/--sanitizer, stamped into the
 // JSON by run_quick.sh).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -43,15 +46,48 @@ namespace lruk {
 namespace {
 
 constexpr size_t kCatalogCapacity = 1024;
+constexpr int kRepetitions = 5;
 
-// One hit-or-admit reference step; the unit both parts measure.
-inline void Step(ReplacementPolicy& p, PageId page, size_t capacity) {
+// One hit-or-admit reference step; the unit both parts measure. Generic
+// so the index grid's calls on the final LruKPolicy are devirtualized.
+template <typename Policy>
+inline void Step(Policy& p, PageId page, size_t capacity) {
   if (p.IsResident(page)) {
     p.RecordAccess(page, AccessType::kRead);
   } else {
     if (p.ResidentCount() == capacity) (void)p.Evict();
     p.Admit(page, AccessType::kRead);
   }
+}
+
+// Median, min and max of one cell's repetitions.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread SpreadOf(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return Spread{samples[samples.size() / 2], samples.front(), samples.back()};
+}
+
+// Warms a fresh policy with one pass over `trace`, then times `ops`
+// steps cycling through it; returns ns per reference.
+template <typename Policy>
+double TimeSteps(Policy& p, const std::vector<PageId>& trace,
+                 size_t capacity, uint64_t ops) {
+  for (PageId page : trace) Step(p, page, capacity);
+  size_t i = 0;
+  auto start = std::chrono::steady_clock::now();
+  for (uint64_t n = 0; n < ops; ++n) {
+    Step(p, trace[i], capacity);
+    if (++i == trace.size()) i = 0;
+  }
+  double seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  return seconds * 1e9 / static_cast<double>(ops);
 }
 
 // --- Part 1: catalog sweep -------------------------------------------------
@@ -66,29 +102,17 @@ std::vector<PageId> ZipfTrace(size_t length) {
 
 struct CatalogRow {
   std::string name;
-  double ns_per_ref = 0.0;
+  Spread ns_per_ref;
 };
 
-CatalogRow RunCatalog(const std::string& label, const PolicyConfig& config,
-                      const std::vector<PageId>& trace, uint64_t ops) {
+// One timed run on a freshly built policy; returns ns per reference.
+double TimeCatalogPolicy(const PolicyConfig& config,
+                         const std::vector<PageId>& trace, uint64_t ops) {
   PolicyContext context;
   context.capacity = kCatalogCapacity;
   auto policy = MakePolicy(config, context);
   LRUK_ASSERT(policy.ok(), "catalog policy failed to build");
-  ReplacementPolicy& p = **policy;
-
-  // One full pass to warm the resident set, then the timed loop.
-  for (PageId page : trace) Step(p, page, kCatalogCapacity);
-  size_t i = 0;
-  auto start = std::chrono::steady_clock::now();
-  for (uint64_t n = 0; n < ops; ++n) {
-    Step(p, trace[i], kCatalogCapacity);
-    if (++i == trace.size()) i = 0;
-  }
-  double seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  return CatalogRow{label, seconds * 1e9 / static_cast<double>(ops)};
+  return TimeSteps(**policy, trace, kCatalogCapacity, ops);
 }
 
 // --- Part 2: victim-index grid ---------------------------------------------
@@ -96,7 +120,6 @@ CatalogRow RunCatalog(const std::string& label, const PolicyConfig& config,
 const char* IndexName(VictimIndex index) {
   switch (index) {
     case VictimIndex::kLazyHeap: return "lazy_heap";
-    case VictimIndex::kOrderedSet: return "ordered_set";
     case VictimIndex::kLinear: return "linear";
   }
   return "?";
@@ -130,32 +153,20 @@ LruKPolicy MakeLru2(VictimIndex index, size_t resident) {
 struct IndexCell {
   VictimIndex index;
   size_t resident = 0;
+  Spread ns_per_ref;
+  // Median throughput, 1e9 / median ns_per_ref.
   double ops_per_sec = 0.0;
-  double ns_per_ref = 0.0;
 };
 
-IndexCell RunIndexCell(VictimIndex index, size_t resident,
-                       const std::vector<PageId>& trace, uint64_t ops) {
+// One timed run on a freshly built LRU-2; returns ns per reference.
+double TimeIndex(VictimIndex index, size_t resident,
+                 const std::vector<PageId>& trace, uint64_t ops) {
   LruKPolicy p = MakeLru2(index, resident);
-  for (PageId page : trace) Step(p, page, resident);
-  size_t i = 0;
-  auto start = std::chrono::steady_clock::now();
-  for (uint64_t n = 0; n < ops; ++n) {
-    Step(p, trace[i], resident);
-    if (++i == trace.size()) i = 0;
-  }
-  double seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  IndexCell cell{index, resident};
-  cell.ops_per_sec =
-      seconds > 0 ? static_cast<double>(ops) / seconds : 0.0;
-  cell.ns_per_ref = seconds * 1e9 / static_cast<double>(ops);
-  return cell;
+  return TimeSteps(p, trace, resident, ops);
 }
 
-// Replays `trace` and returns every Evict() result in order. The three
-// index structures must produce byte-identical sequences (the lazy heap's
+// Replays `trace` and returns every Evict() result in order. Both index
+// structures must produce byte-identical sequences (the lazy heap's
 // staleness is an implementation detail, never a behaviour change).
 std::vector<PageId> VictimSequence(VictimIndex index, size_t resident,
                                    const std::vector<PageId>& trace) {
@@ -178,9 +189,7 @@ std::vector<PageId> VictimSequence(VictimIndex index, size_t resident,
 
 void WriteJson(const char* path, const BenchProvenance& provenance,
                const std::vector<CatalogRow>& catalog,
-               const std::vector<IndexCell>& cells,
-               bool sequences_ok, const std::vector<double>& speedups,
-               bool speedup_ok) {
+               const std::vector<IndexCell>& cells, bool sequences_ok) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path);
@@ -188,11 +197,16 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
   }
   std::fprintf(f, "{\n  \"bench\": \"micro_policy_overhead\",\n");
   WriteProvenanceJson(f, provenance);
-  std::fprintf(f, ",\n  \"catalog_capacity\": %zu,\n  \"catalog\": [\n",
-               kCatalogCapacity);
+  std::fprintf(f,
+               ",\n  \"repetitions\": %d,\n  \"catalog_capacity\": %zu,\n"
+               "  \"catalog\": [\n",
+               kRepetitions, kCatalogCapacity);
   for (size_t i = 0; i < catalog.size(); ++i) {
-    std::fprintf(f, "    {\"policy\": \"%s\", \"ns_per_ref\": %.1f}%s\n",
-                 catalog[i].name.c_str(), catalog[i].ns_per_ref,
+    const Spread& s = catalog[i].ns_per_ref;
+    std::fprintf(f,
+                 "    {\"policy\": \"%s\", \"ns_per_ref\": %.1f, "
+                 "\"ns_per_ref_min\": %.1f, \"ns_per_ref_max\": %.1f}%s\n",
+                 catalog[i].name.c_str(), s.median, s.min, s.max,
                  i + 1 < catalog.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"index_cells\": [\n");
@@ -200,20 +214,16 @@ void WriteJson(const char* path, const BenchProvenance& provenance,
     const IndexCell& c = cells[i];
     std::fprintf(f,
                  "    {\"victim_index\": \"%s\", \"resident\": %zu, "
-                 "\"ops_per_sec\": %.1f, \"ns_per_ref\": %.1f}%s\n",
-                 IndexName(c.index), c.resident, c.ops_per_sec, c.ns_per_ref,
+                 "\"ops_per_sec\": %.1f, \"ns_per_ref\": %.1f, "
+                 "\"ns_per_ref_min\": %.1f, \"ns_per_ref_max\": %.1f}%s\n",
+                 IndexName(c.index), c.resident, c.ops_per_sec,
+                 c.ns_per_ref.median, c.ns_per_ref.min, c.ns_per_ref.max,
                  i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(f,
                "  ],\n  \"checks\": {\n"
-               "    \"victim_sequences_identical\": %s,\n",
+               "    \"victim_sequences_identical\": %s\n  }\n}\n",
                sequences_ok ? "true" : "false");
-  std::fprintf(f, "    \"lazy_vs_ordered_speedups\": [");
-  for (size_t i = 0; i < speedups.size(); ++i) {
-    std::fprintf(f, "%s%.3f", i > 0 ? ", " : "", speedups[i]);
-  }
-  std::fprintf(f, "],\n    \"speedup_ok\": %s\n  }\n}\n",
-               speedup_ok ? "true" : "false");
   std::fclose(f);
 }
 
@@ -246,18 +256,16 @@ int main(int argc, char** argv) {
   const uint64_t index_ops = quick ? 1 << 17 : 1 << 21;
   const size_t diff_len = quick ? 1 << 16 : 1 << 18;
   const std::vector<size_t> resident_sizes = {512, 2048};
-  const std::vector<VictimIndex> modes = {
-      VictimIndex::kLazyHeap, VictimIndex::kOrderedSet, VictimIndex::kLinear};
+  const std::vector<VictimIndex> modes = {VictimIndex::kLazyHeap,
+                                         VictimIndex::kLinear};
 
   // --- Catalog sweep ---
   std::printf(
       "Policy bookkeeping overhead: Zipfian 80-20, %zu frames, "
-      "hit-or-admit step\n\n",
-      kCatalogCapacity);
+      "hit-or-admit step, median of %d runs\n\n",
+      kCatalogCapacity, kRepetitions);
   std::vector<PageId> zipf = ZipfTrace(1 << 16);
   std::vector<CatalogRow> catalog;
-  PolicyConfig lru2_ordered = PolicyConfig::LruK(2);
-  lru2_ordered.lru_k.victim_index = VictimIndex::kOrderedSet;
   PolicyConfig lru2_linear = PolicyConfig::LruK(2);
   lru2_linear.lru_k.victim_index = VictimIndex::kLinear;
   // The third tuple field divides the timed op count: the O(n) linear scan
@@ -267,7 +275,6 @@ int main(int argc, char** argv) {
       entries = {
           {"LRU", PolicyConfig::Lru(), 1},
           {"LRU-2", PolicyConfig::LruK(2), 1},
-          {"LRU-2/ordered_set", lru2_ordered, 1},
           {"LRU-2/linear", lru2_linear, 32},
           {"LRU-3", PolicyConfig::LruK(3), 1},
           {"LRU-2 CRP=16", PolicyConfig::LruK(2, /*crp=*/16), 1},
@@ -280,11 +287,23 @@ int main(int argc, char** argv) {
           {"2Q", PolicyConfig::TwoQ(), 1},
           {"ARC", PolicyConfig::Arc(), 1},
       };
-  AsciiTable catalog_table({"policy", "ns/ref"});
-  for (const auto& [label, config, divisor] : entries) {
-    catalog.push_back(RunCatalog(label, config, zipf, catalog_ops / divisor));
-    catalog_table.AddRow(
-        {catalog.back().name, AsciiTable::Fixed(catalog.back().ns_per_ref, 1)});
+  // Repetitions go round-robin over the rows, so drift in the host's load
+  // or in the allocator's state falls on every row alike.
+  std::vector<std::vector<double>> samples(entries.size());
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    for (size_t i = 0; i < entries.size(); ++i) {
+      const auto& [label, config, divisor] = entries[i];
+      samples[i].push_back(
+          TimeCatalogPolicy(config, zipf, catalog_ops / divisor));
+    }
+  }
+  AsciiTable catalog_table({"policy", "ns/ref", "min", "max"});
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const CatalogRow& row = catalog.emplace_back(
+        CatalogRow{std::get<0>(entries[i]), SpreadOf(samples[i])});
+    catalog_table.AddRow({row.name, AsciiTable::Fixed(row.ns_per_ref.median, 1),
+                          AsciiTable::Fixed(row.ns_per_ref.min, 1),
+                          AsciiTable::Fixed(row.ns_per_ref.max, 1)});
   }
   catalog_table.Print();
   catalog_table.MaybeWriteCsvFromEnv("micro_policy_overhead_catalog");
@@ -292,73 +311,59 @@ int main(int argc, char** argv) {
   // --- Victim-index differential + grid ---
   std::printf(
       "\nLRU-2 victim-index structures: 95%% hot / 5%% cold uniform "
-      "stream\n\n");
+      "stream, median of %d runs\n\n",
+      kRepetitions);
   bool sequences_ok = true;
   std::vector<IndexCell> cells;
-  std::vector<double> speedups;
-  AsciiTable grid({"victim_index", "resident", "ops/sec", "ns/ref",
-                   "vs ordered_set"});
+  AsciiTable grid({"victim_index", "resident", "ops/sec", "ns/ref", "min",
+                   "max"});
   for (size_t resident : resident_sizes) {
     std::vector<PageId> diff_trace =
         IndexTrace(resident, diff_len, /*seed=*/0xD1FF + resident);
     std::vector<PageId> reference =
         VictimSequence(VictimIndex::kLazyHeap, resident, diff_trace);
-    for (VictimIndex mode :
-         {VictimIndex::kOrderedSet, VictimIndex::kLinear}) {
-      std::vector<PageId> other = VictimSequence(mode, resident, diff_trace);
-      if (other != reference) {
-        sequences_ok = false;
-        std::printf("victim sequence DIVERGED: %s vs lazy_heap at "
-                    "resident=%zu (%zu vs %zu evictions)\n",
-                    IndexName(mode), resident, other.size(),
-                    reference.size());
-      }
+    std::vector<PageId> linear =
+        VictimSequence(VictimIndex::kLinear, resident, diff_trace);
+    if (linear != reference) {
+      sequences_ok = false;
+      std::printf("victim sequence DIVERGED: linear vs lazy_heap at "
+                  "resident=%zu (%zu vs %zu evictions)\n",
+                  resident, linear.size(), reference.size());
     }
 
     std::vector<PageId> trace =
         IndexTrace(resident, 1 << 18, /*seed=*/0xBEEF + resident);
-    double ordered_ops = 0.0, lazy_ops = 0.0;
-    for (VictimIndex mode : modes) {
-      // Same wall-clock reasoning as the catalog: the O(n) scan's ns/ref
-      // estimate converges with far fewer references.
-      uint64_t ops =
-          mode == VictimIndex::kLinear ? index_ops / 8 : index_ops;
-      IndexCell cell = RunIndexCell(mode, resident, trace, ops);
-      if (mode == VictimIndex::kOrderedSet) ordered_ops = cell.ops_per_sec;
-      if (mode == VictimIndex::kLazyHeap) lazy_ops = cell.ops_per_sec;
-      cells.push_back(cell);
+    std::vector<std::vector<double>> mode_samples(modes.size());
+    for (int rep = 0; rep < kRepetitions; ++rep) {
+      for (size_t m = 0; m < modes.size(); ++m) {
+        // Same wall-clock reasoning as the catalog: the O(n) scan's ns/ref
+        // estimate converges with far fewer references.
+        uint64_t ops =
+            modes[m] == VictimIndex::kLinear ? index_ops / 8 : index_ops;
+        mode_samples[m].push_back(TimeIndex(modes[m], resident, trace, ops));
+      }
     }
-    double speedup = ordered_ops > 0 ? lazy_ops / ordered_ops : 0.0;
-    speedups.push_back(speedup);
-    for (const IndexCell& c : cells) {
-      if (c.resident != resident) continue;
+    for (size_t m = 0; m < modes.size(); ++m) {
+      IndexCell& c = cells.emplace_back(
+          IndexCell{modes[m], resident, SpreadOf(mode_samples[m])});
+      c.ops_per_sec = 1e9 / c.ns_per_ref.median;
       grid.AddRow({IndexName(c.index), AsciiTable::Integer(c.resident),
                    AsciiTable::Integer(static_cast<uint64_t>(c.ops_per_sec)),
-                   AsciiTable::Fixed(c.ns_per_ref, 1),
-                   c.index == VictimIndex::kOrderedSet
-                       ? std::string("1.00x")
-                       : AsciiTable::Fixed(
-                             ordered_ops > 0 ? c.ops_per_sec / ordered_ops
-                                             : 0.0,
-                             2) + "x"});
+                   AsciiTable::Fixed(c.ns_per_ref.median, 1),
+                   AsciiTable::Fixed(c.ns_per_ref.min, 1),
+                   AsciiTable::Fixed(c.ns_per_ref.max, 1)});
     }
   }
   grid.Print();
   grid.MaybeWriteCsvFromEnv("micro_policy_overhead_index");
 
-  bool speedup_ok = true;
-  for (double s : speedups) speedup_ok = speedup_ok && s >= 1.5;
   std::printf("\nshape: victim sequences identical across "
-              "lazy_heap/ordered_set/linear: %s\n",
+              "lazy_heap/linear: %s\n",
               sequences_ok ? "yes" : "NO");
-  std::printf("shape: lazy_heap >= 1.5x ordered_set throughput at every "
-              "resident size: %s\n",
-              speedup_ok ? "yes" : "NO");
 
   if (json_path != nullptr) {
-    WriteJson(json_path, provenance, catalog, cells, sequences_ok, speedups,
-              speedup_ok);
+    WriteJson(json_path, provenance, catalog, cells, sequences_ok);
     std::printf("wrote %s\n", json_path);
   }
-  return sequences_ok && speedup_ok ? 0 : 1;
+  return sequences_ok ? 0 : 1;
 }

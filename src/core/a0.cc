@@ -18,7 +18,7 @@ void A0Policy::RecordAccess(PageId p, AccessType /*type*/) {
 
 void A0Policy::Admit(PageId p, AccessType /*type*/) {
   LRUK_ASSERT(!entries_.contains(p), "Admit on an already-resident page");
-  entries_.emplace(p, Entry{/*evictable=*/true});
+  entries_.insert(p);
   order_.insert(OrderKey{ProbabilityOf(p), p});
 }
 
@@ -33,26 +33,13 @@ std::optional<PageId> A0Policy::Evict() {
 void A0Policy::Remove(PageId p) {
   auto it = entries_.find(p);
   LRUK_ASSERT(it != entries_.end(), "Remove on a non-resident page");
-  if (it->second.evictable) order_.erase(OrderKey{ProbabilityOf(p), p});
+  order_.erase(OrderKey{ProbabilityOf(p), p});
   entries_.erase(it);
 }
 
-void A0Policy::SetEvictable(PageId p, bool evictable) {
-  auto it = entries_.find(p);
-  LRUK_ASSERT(it != entries_.end(), "SetEvictable on a non-resident page");
-  if (it->second.evictable == evictable) return;
-  if (evictable) {
-    order_.insert(OrderKey{ProbabilityOf(p), p});
-  } else {
-    order_.erase(OrderKey{ProbabilityOf(p), p});
-  }
-  it->second.evictable = evictable;
-}
-
-
 void A0Policy::ForEachResident(
     const std::function<void(PageId)>& visit) const {
-  for (const auto& kv : entries_) visit(kv.first);
+  for (PageId p : entries_) visit(p);
 }
 
 }  // namespace lruk

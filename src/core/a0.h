@@ -12,7 +12,7 @@
 #include <optional>
 #include <set>
 #include <string_view>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/replacement_policy.h"
@@ -30,9 +30,7 @@ class A0Policy final : public ReplacementPolicy {
   void Admit(PageId p, AccessType type) override;
   std::optional<PageId> Evict() override;
   void Remove(PageId p) override;
-  void SetEvictable(PageId p, bool evictable) override;
   size_t ResidentCount() const override { return entries_.size(); }
-  size_t EvictableCount() const override { return order_.size(); }
   bool IsResident(PageId p) const override { return entries_.contains(p); }
   void ForEachResident(
       const std::function<void(PageId)>& visit) const override;
@@ -46,13 +44,9 @@ class A0Policy final : public ReplacementPolicy {
     PageId page;
     friend auto operator<=>(const OrderKey&, const OrderKey&) = default;
   };
-  struct Entry {
-    bool evictable = true;
-  };
-
   std::vector<double> probabilities_;
-  std::unordered_map<PageId, Entry> entries_;
-  // Evictable resident pages ordered by ascending probability.
+  std::unordered_set<PageId> entries_;
+  // Resident pages ordered by ascending probability.
   std::set<OrderKey> order_;
 };
 

@@ -139,16 +139,8 @@ void AdaptivePolicy::Remove(PageId p) {
   }
 }
 
-void AdaptivePolicy::SetEvictable(PageId p, bool evictable) {
-  for (AdaptiveExpert& e : experts_) e.live->SetEvictable(p, evictable);
-}
-
 size_t AdaptivePolicy::ResidentCount() const {
   return experts_[active_].live->ResidentCount();
-}
-
-size_t AdaptivePolicy::EvictableCount() const {
-  return experts_[active_].live->EvictableCount();
 }
 
 bool AdaptivePolicy::IsResident(PageId p) const {
@@ -200,7 +192,7 @@ void AdaptivePolicy::ObserveGhost(size_t i, PageId p, AccessType type) {
   g.PrepareAdmit(p);
   if (g.ResidentCount() >= options_.capacity) {
     std::optional<PageId> victim = g.Evict();
-    LRUK_ASSERT(victim.has_value(), "ghost cache found no evictable page");
+    LRUK_ASSERT(victim.has_value(), "full ghost cache yielded no victim");
     if (options_.record_ghost_victims) ghost_victims_[i].push_back(*victim);
   }
   g.Admit(p, type);

@@ -8,7 +8,7 @@
 // (LRU-K, ARC, 2Q, LFU, ...) and
 //
 //   * keeps every expert's *live* instance synchronized with the true
-//     resident set (all of them see every RecordAccess/Admit/Remove/pin),
+//     resident set (all of them see every RecordAccess/Admit/Remove),
 //     but lets only the currently *active* expert choose eviction victims;
 //   * runs one *ghost cache* per expert — a key-only shadow simulation of
 //     that expert alone at the same capacity, fed the raw reference
@@ -111,9 +111,7 @@ class AdaptivePolicy final : public ReplacementPolicy {
   void SettleEvictions() override;
   void Restore(PageId p) override;
   void Remove(PageId p) override;
-  void SetEvictable(PageId p, bool evictable) override;
   size_t ResidentCount() const override;
-  size_t EvictableCount() const override;
   bool IsResident(PageId p) const override;
   void ForEachResident(
       const std::function<void(PageId)>& visit) const override;

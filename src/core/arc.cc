@@ -30,20 +30,15 @@ void ArcPolicy::DropGhostLru(std::list<PageId>& ghost, GhostIndex& index) {
 std::optional<PageId> ArcPolicy::EvictTail(std::list<PageId>& list,
                                            std::list<PageId>* ghost,
                                            GhostIndex* ghost_index) {
-  for (auto it = list.rbegin(); it != list.rend(); ++it) {
-    auto entry_it = entries_.find(*it);
-    if (!entry_it->second.evictable) continue;
-    PageId victim = *it;
-    list.erase(std::next(it).base());
-    entries_.erase(entry_it);
-    --evictable_count_;
-    if (ghost != nullptr) {
-      ghost->push_front(victim);
-      ghost_index->emplace(victim, ghost->begin());
-    }
-    return victim;
+  if (list.empty()) return std::nullopt;
+  PageId victim = list.back();
+  list.pop_back();
+  entries_.erase(victim);
+  if (ghost != nullptr) {
+    ghost->push_front(victim);
+    ghost_index->emplace(victim, ghost->begin());
   }
-  return std::nullopt;
+  return victim;
 }
 
 std::optional<PageId> ArcPolicy::Replace(bool incoming_in_b2) {
@@ -51,12 +46,8 @@ std::optional<PageId> ArcPolicy::Replace(bool incoming_in_b2) {
       !t1_.empty() &&
       ((incoming_in_b2 && static_cast<double>(t1_.size()) == p_) ||
        static_cast<double>(t1_.size()) > p_);
-  if (take_t1) {
-    if (auto victim = EvictTail(t1_, &b1_, &b1_index_)) return victim;
-    return EvictTail(t2_, &b2_, &b2_index_);  // T1 fully pinned.
-  }
-  if (auto victim = EvictTail(t2_, &b2_, &b2_index_)) return victim;
-  return EvictTail(t1_, &b1_, &b1_index_);  // T2 empty or fully pinned.
+  if (take_t1 || t2_.empty()) return EvictTail(t1_, &b1_, &b1_index_);
+  return EvictTail(t2_, &b2_, &b2_index_);
 }
 
 std::optional<PageId> ArcPolicy::Evict() {
@@ -77,8 +68,7 @@ std::optional<PageId> ArcPolicy::Evict() {
       return Replace(false);
     }
     // |T1| == c: evict T1's LRU outright, bypassing the ghost list.
-    if (auto victim = EvictTail(t1_, nullptr, nullptr)) return victim;
-    return EvictTail(t2_, &b2_, &b2_index_);  // T1 fully pinned.
+    return EvictTail(t1_, nullptr, nullptr);
   }
   if (t1_.size() + t2_.size() + b1_.size() + b2_.size() >= 2 * capacity_) {
     DropGhostLru(b2_, b2_index_);
@@ -101,8 +91,7 @@ void ArcPolicy::Admit(PageId p, AccessType /*type*/) {
     b1_.erase(ghost1->second);
     b1_index_.erase(ghost1);
     t2_.push_front(p);
-    entries_.emplace(p, Entry{Queue::kT2, t2_.begin(), /*evictable=*/true});
-    ++evictable_count_;
+    entries_.emplace(p, Entry{Queue::kT2, t2_.begin()});
     return;
   }
   auto ghost2 = b2_index_.find(p);
@@ -116,31 +105,19 @@ void ArcPolicy::Admit(PageId p, AccessType /*type*/) {
     b2_.erase(ghost2->second);
     b2_index_.erase(ghost2);
     t2_.push_front(p);
-    entries_.emplace(p, Entry{Queue::kT2, t2_.begin(), /*evictable=*/true});
-    ++evictable_count_;
+    entries_.emplace(p, Entry{Queue::kT2, t2_.begin()});
     return;
   }
   // Case IV: first sighting goes to T1.
   t1_.push_front(p);
-  entries_.emplace(p, Entry{Queue::kT1, t1_.begin(), /*evictable=*/true});
-  ++evictable_count_;
+  entries_.emplace(p, Entry{Queue::kT1, t1_.begin()});
 }
 
 void ArcPolicy::Remove(PageId p) {
   auto it = entries_.find(p);
   LRUK_ASSERT(it != entries_.end(), "Remove on a non-resident page");
-  if (it->second.evictable) --evictable_count_;
   (it->second.queue == Queue::kT1 ? t1_ : t2_).erase(it->second.pos);
   entries_.erase(it);
-}
-
-void ArcPolicy::SetEvictable(PageId p, bool evictable) {
-  auto it = entries_.find(p);
-  LRUK_ASSERT(it != entries_.end(), "SetEvictable on a non-resident page");
-  if (it->second.evictable != evictable) {
-    it->second.evictable = evictable;
-    evictable_count_ += evictable ? 1 : -1;
-  }
 }
 
 void ArcPolicy::ForEachResident(

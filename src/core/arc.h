@@ -16,8 +16,7 @@
 // Interface mapping: the victim that REPLACE() picks depends on whether
 // the faulting page sits in B2, so callers must announce the incoming
 // page via PrepareAdmit(p) before Evict() — both the simulator and the
-// buffer pool do. Pinned pages are skipped from the tail of the chosen
-// side, falling over to the other side when necessary.
+// buffer pool do.
 
 #ifndef LRUK_CORE_ARC_H_
 #define LRUK_CORE_ARC_H_
@@ -41,9 +40,7 @@ class ArcPolicy final : public ReplacementPolicy {
   void Admit(PageId p, AccessType type) override;
   std::optional<PageId> Evict() override;
   void Remove(PageId p) override;
-  void SetEvictable(PageId p, bool evictable) override;
   size_t ResidentCount() const override { return entries_.size(); }
-  size_t EvictableCount() const override { return evictable_count_; }
   bool IsResident(PageId p) const override { return entries_.contains(p); }
   void ForEachResident(
       const std::function<void(PageId)>& visit) const override;
@@ -64,19 +61,17 @@ class ArcPolicy final : public ReplacementPolicy {
   struct Entry {
     Queue queue;
     std::list<PageId>::iterator pos;
-    bool evictable = true;
   };
 
   using GhostIndex = std::unordered_map<PageId, std::list<PageId>::iterator>;
 
   // Megiddo-Modha REPLACE: demotes the LRU page of T1 or T2 (per the `p`
   // target and whether the incoming page is a B2 ghost) to the matching
-  // ghost list. Skips pinned pages; returns nullopt if everything is
-  // pinned.
+  // ghost list. Returns nullopt only when T1 and T2 are both empty.
   std::optional<PageId> Replace(bool incoming_in_b2);
 
-  // Evicts from `list`'s tail skipping pinned pages; demotes the victim
-  // to `ghost` when non-null.
+  // Evicts `list`'s tail (nullopt if the list is empty); demotes the
+  // victim to `ghost` when non-null.
   std::optional<PageId> EvictTail(std::list<PageId>& list,
                                   std::list<PageId>* ghost,
                                   GhostIndex* ghost_index);
@@ -93,7 +88,6 @@ class ArcPolicy final : public ReplacementPolicy {
   std::unordered_map<PageId, Entry> entries_;
   GhostIndex b1_index_;
   GhostIndex b2_index_;
-  size_t evictable_count_ = 0;
   std::optional<PageId> pending_;
 };
 

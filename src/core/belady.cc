@@ -32,17 +32,15 @@ void BeladyPolicy::RecordAccess(PageId p, AccessType /*type*/) {
   auto it = entries_.find(p);
   LRUK_ASSERT(it != entries_.end(), "RecordAccess on a non-resident page");
   uint64_t next = ConsumeReference(p);
-  if (it->second.evictable) {
-    order_.erase(OrderKey{it->second.next_use, p});
-    order_.insert(OrderKey{next, p});
-  }
-  it->second.next_use = next;
+  order_.erase(OrderKey{it->second, p});
+  order_.insert(OrderKey{next, p});
+  it->second = next;
 }
 
 void BeladyPolicy::Admit(PageId p, AccessType /*type*/) {
   LRUK_ASSERT(!entries_.contains(p), "Admit on an already-resident page");
   uint64_t next = ConsumeReference(p);
-  entries_.emplace(p, Entry{next, /*evictable=*/true});
+  entries_.emplace(p, next);
   order_.insert(OrderKey{next, p});
 }
 
@@ -59,22 +57,9 @@ std::optional<PageId> BeladyPolicy::Evict() {
 void BeladyPolicy::Remove(PageId p) {
   auto it = entries_.find(p);
   LRUK_ASSERT(it != entries_.end(), "Remove on a non-resident page");
-  if (it->second.evictable) order_.erase(OrderKey{it->second.next_use, p});
+  order_.erase(OrderKey{it->second, p});
   entries_.erase(it);
 }
-
-void BeladyPolicy::SetEvictable(PageId p, bool evictable) {
-  auto it = entries_.find(p);
-  LRUK_ASSERT(it != entries_.end(), "SetEvictable on a non-resident page");
-  if (it->second.evictable == evictable) return;
-  if (evictable) {
-    order_.insert(OrderKey{it->second.next_use, p});
-  } else {
-    order_.erase(OrderKey{it->second.next_use, p});
-  }
-  it->second.evictable = evictable;
-}
-
 
 void BeladyPolicy::ForEachResident(
     const std::function<void(PageId)>& visit) const {

@@ -31,9 +31,7 @@ class BeladyPolicy final : public ReplacementPolicy {
   void Admit(PageId p, AccessType type) override;
   std::optional<PageId> Evict() override;
   void Remove(PageId p) override;
-  void SetEvictable(PageId p, bool evictable) override;
   size_t ResidentCount() const override { return entries_.size(); }
-  size_t EvictableCount() const override { return order_.size(); }
   bool IsResident(PageId p) const override { return entries_.contains(p); }
   void ForEachResident(
       const std::function<void(PageId)>& visit) const override;
@@ -50,11 +48,6 @@ class BeladyPolicy final : public ReplacementPolicy {
     PageId page;
     friend auto operator<=>(const OrderKey&, const OrderKey&) = default;
   };
-  struct Entry {
-    uint64_t next_use = kNever;
-    bool evictable = true;
-  };
-
   // Consumes the current trace position for page p and returns the position
   // of p's next reference (kNever if none).
   uint64_t ConsumeReference(PageId p);
@@ -64,8 +57,9 @@ class BeladyPolicy final : public ReplacementPolicy {
   // i, or kNever.
   std::vector<uint64_t> next_occurrence_;
   size_t pos_ = 0;
-  std::unordered_map<PageId, Entry> entries_;
-  // Evictable resident pages; victim = max next_use.
+  // Resident page -> position of its next reference (kNever if none).
+  std::unordered_map<PageId, uint64_t> entries_;
+  // Resident pages; victim = max next_use.
   std::set<OrderKey> order_;
 };
 

@@ -14,7 +14,7 @@ void ClockPolicy::AdvanceHand() {
 void ClockPolicy::RecordAccess(PageId p, AccessType /*type*/) {
   auto it = entries_.find(p);
   LRUK_ASSERT(it != entries_.end(), "RecordAccess on a non-resident page");
-  it->second.pos->referenced = true;
+  it->second->referenced = true;
 }
 
 void ClockPolicy::Admit(PageId p, AccessType /*type*/) {
@@ -24,57 +24,34 @@ void ClockPolicy::Admit(PageId p, AccessType /*type*/) {
                  ? ring_.insert(ring_.end(), Slot{p, /*referenced=*/true})
                  : ring_.insert(hand_, Slot{p, /*referenced=*/true});
   if (hand_ == ring_.end()) hand_ = pos;
-  entries_.emplace(p, Entry{pos, /*evictable=*/true});
-  ++evictable_count_;
+  entries_.emplace(p, pos);
 }
 
 std::optional<PageId> ClockPolicy::Evict() {
-  if (evictable_count_ == 0 || ring_.empty()) return std::nullopt;
-  // Two full sweeps suffice: the first clears reference bits, the second
-  // must find an unreferenced evictable page.
-  size_t budget = 2 * ring_.size() + 1;
-  while (budget-- > 0) {
-    LRUK_ASSERT(hand_ != ring_.end(), "clock hand detached from the ring");
-    auto entry_it = entries_.find(hand_->page);
-    if (!entry_it->second.evictable) {
-      AdvanceHand();
-      continue;
-    }
-    if (hand_->referenced) {
-      hand_->referenced = false;
-      AdvanceHand();
-      continue;
-    }
-    PageId victim = hand_->page;
-    auto dead = hand_;
+  if (ring_.empty()) return std::nullopt;
+  // At most one full sweep clears every reference bit, so the loop ends
+  // within two.
+  LRUK_ASSERT(hand_ != ring_.end(), "clock hand detached from the ring");
+  while (hand_->referenced) {
+    hand_->referenced = false;
     AdvanceHand();
-    if (hand_ == dead) hand_ = ring_.end();  // Last element removed.
-    ring_.erase(dead);
-    entries_.erase(entry_it);
-    --evictable_count_;
-    return victim;
   }
-  LRUK_UNREACHABLE("clock sweep failed to find a victim");
-  return std::nullopt;
+  PageId victim = hand_->page;
+  auto dead = hand_;
+  AdvanceHand();
+  if (hand_ == dead) hand_ = ring_.end();  // Last element removed.
+  ring_.erase(dead);
+  entries_.erase(victim);
+  return victim;
 }
 
 void ClockPolicy::Remove(PageId p) {
   auto it = entries_.find(p);
   LRUK_ASSERT(it != entries_.end(), "Remove on a non-resident page");
-  if (it->second.evictable) --evictable_count_;
-  if (hand_ == it->second.pos) AdvanceHand();
-  if (hand_ == it->second.pos) hand_ = ring_.end();  // Sole element.
-  ring_.erase(it->second.pos);
+  if (hand_ == it->second) AdvanceHand();
+  if (hand_ == it->second) hand_ = ring_.end();  // Sole element.
+  ring_.erase(it->second);
   entries_.erase(it);
-}
-
-void ClockPolicy::SetEvictable(PageId p, bool evictable) {
-  auto it = entries_.find(p);
-  LRUK_ASSERT(it != entries_.end(), "SetEvictable on a non-resident page");
-  if (it->second.evictable != evictable) {
-    it->second.evictable = evictable;
-    evictable_count_ += evictable ? 1 : -1;
-  }
 }
 
 

@@ -22,9 +22,7 @@ class ClockPolicy final : public ReplacementPolicy {
   void Admit(PageId p, AccessType type) override;
   std::optional<PageId> Evict() override;
   void Remove(PageId p) override;
-  void SetEvictable(PageId p, bool evictable) override;
   size_t ResidentCount() const override { return entries_.size(); }
-  size_t EvictableCount() const override { return evictable_count_; }
   bool IsResident(PageId p) const override { return entries_.contains(p); }
   void ForEachResident(
       const std::function<void(PageId)>& visit) const override;
@@ -35,18 +33,13 @@ class ClockPolicy final : public ReplacementPolicy {
     PageId page;
     bool referenced;
   };
-  struct Entry {
-    std::list<Slot>::iterator pos;
-    bool evictable = true;
-  };
 
   void AdvanceHand();
 
   // Circular order; hand_ points at the next sweep position.
   std::list<Slot> ring_;
   std::list<Slot>::iterator hand_ = ring_.end();
-  std::unordered_map<PageId, Entry> entries_;
-  size_t evictable_count_ = 0;
+  std::unordered_map<PageId, std::list<Slot>::iterator> entries_;
 };
 
 }  // namespace lruk

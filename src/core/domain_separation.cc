@@ -35,7 +35,7 @@ void DomainSeparationPolicy::Admit(PageId p, AccessType type) {
     // The domain is full even though the pool as a whole may not be: evict
     // within the domain (the whole point of Reiter's scheme).
     auto victim = lru.Evict();
-    LRUK_ASSERT(victim.has_value(), "domain full but nothing evictable");
+    LRUK_ASSERT(victim.has_value(), "full domain yielded no victim");
     internal_evictions_.push_back(*victim);
   }
   lru.Admit(p, type);
@@ -63,19 +63,9 @@ void DomainSeparationPolicy::Remove(PageId p) {
   domains_[DomainOf(p)]->Remove(p);
 }
 
-void DomainSeparationPolicy::SetEvictable(PageId p, bool evictable) {
-  domains_[DomainOf(p)]->SetEvictable(p, evictable);
-}
-
 size_t DomainSeparationPolicy::ResidentCount() const {
   size_t total = 0;
   for (const auto& domain : domains_) total += domain->ResidentCount();
-  return total;
-}
-
-size_t DomainSeparationPolicy::EvictableCount() const {
-  size_t total = 0;
-  for (const auto& domain : domains_) total += domain->EvictableCount();
   return total;
 }
 

@@ -48,9 +48,7 @@ class DomainSeparationPolicy final : public ReplacementPolicy {
   void Admit(PageId p, AccessType type) override;
   std::optional<PageId> Evict() override;
   void Remove(PageId p) override;
-  void SetEvictable(PageId p, bool evictable) override;
   size_t ResidentCount() const override;
-  size_t EvictableCount() const override;
   bool IsResident(PageId p) const override;
   void ForEachResident(
       const std::function<void(PageId)>& visit) const override;

@@ -10,40 +10,23 @@ void FifoPolicy::RecordAccess(PageId p, AccessType /*type*/) {
 void FifoPolicy::Admit(PageId p, AccessType /*type*/) {
   LRUK_ASSERT(!entries_.contains(p), "Admit on an already-resident page");
   arrival_.push_front(p);
-  entries_.emplace(p, Entry{arrival_.begin(), /*evictable=*/true});
-  ++evictable_count_;
+  entries_.emplace(p, arrival_.begin());
 }
 
 std::optional<PageId> FifoPolicy::Evict() {
-  for (auto it = arrival_.rbegin(); it != arrival_.rend(); ++it) {
-    auto entry_it = entries_.find(*it);
-    if (!entry_it->second.evictable) continue;
-    PageId victim = *it;
-    arrival_.erase(std::next(it).base());
-    entries_.erase(entry_it);
-    --evictable_count_;
-    return victim;
-  }
-  return std::nullopt;
+  if (arrival_.empty()) return std::nullopt;
+  PageId victim = arrival_.back();
+  arrival_.pop_back();
+  entries_.erase(victim);
+  return victim;
 }
 
 void FifoPolicy::Remove(PageId p) {
   auto it = entries_.find(p);
   LRUK_ASSERT(it != entries_.end(), "Remove on a non-resident page");
-  if (it->second.evictable) --evictable_count_;
-  arrival_.erase(it->second.pos);
+  arrival_.erase(it->second);
   entries_.erase(it);
 }
-
-void FifoPolicy::SetEvictable(PageId p, bool evictable) {
-  auto it = entries_.find(p);
-  LRUK_ASSERT(it != entries_.end(), "SetEvictable on a non-resident page");
-  if (it->second.evictable != evictable) {
-    it->second.evictable = evictable;
-    evictable_count_ += evictable ? 1 : -1;
-  }
-}
-
 
 void FifoPolicy::ForEachResident(
     const std::function<void(PageId)>& visit) const {

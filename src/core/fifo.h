@@ -22,24 +22,16 @@ class FifoPolicy final : public ReplacementPolicy {
   void Admit(PageId p, AccessType type) override;
   std::optional<PageId> Evict() override;
   void Remove(PageId p) override;
-  void SetEvictable(PageId p, bool evictable) override;
   size_t ResidentCount() const override { return entries_.size(); }
-  size_t EvictableCount() const override { return evictable_count_; }
   bool IsResident(PageId p) const override { return entries_.contains(p); }
   void ForEachResident(
       const std::function<void(PageId)>& visit) const override;
   std::string_view Name() const override { return "FIFO"; }
 
  private:
-  struct Entry {
-    std::list<PageId>::iterator pos;
-    bool evictable = true;
-  };
-
   // Newest admission at the front; victims come from the back.
   std::list<PageId> arrival_;
-  std::unordered_map<PageId, Entry> entries_;
-  size_t evictable_count_ = 0;
+  std::unordered_map<PageId, std::list<PageId>::iterator> entries_;
 };
 
 }  // namespace lruk

@@ -18,7 +18,7 @@ void GClockPolicy::AdvanceHand() {
 void GClockPolicy::RecordAccess(PageId p, AccessType /*type*/) {
   auto it = entries_.find(p);
   LRUK_ASSERT(it != entries_.end(), "RecordAccess on a non-resident page");
-  uint32_t& count = it->second.pos->count;
+  uint32_t& count = it->second->count;
   if (options_.increment_on_reference) {
     count = std::min(count + options_.reference_increment, options_.max_count);
   } else {
@@ -33,57 +33,34 @@ void GClockPolicy::Admit(PageId p, AccessType /*type*/) {
           ? ring_.insert(ring_.end(), Slot{p, options_.initial_count})
           : ring_.insert(hand_, Slot{p, options_.initial_count});
   if (hand_ == ring_.end()) hand_ = pos;
-  entries_.emplace(p, Entry{pos, /*evictable=*/true});
-  ++evictable_count_;
+  entries_.emplace(p, pos);
 }
 
 std::optional<PageId> GClockPolicy::Evict() {
-  if (evictable_count_ == 0 || ring_.empty()) return std::nullopt;
-  // Each full sweep decrements every evictable counter at least once, so
-  // max_count+1 sweeps guarantee a zero-count victim.
-  size_t budget = ring_.size() * (static_cast<size_t>(options_.max_count) + 2);
-  while (budget-- > 0) {
-    LRUK_ASSERT(hand_ != ring_.end(), "gclock hand detached from the ring");
-    auto entry_it = entries_.find(hand_->page);
-    if (!entry_it->second.evictable) {
-      AdvanceHand();
-      continue;
-    }
-    if (hand_->count > 0) {
-      --hand_->count;
-      AdvanceHand();
-      continue;
-    }
-    PageId victim = hand_->page;
-    auto dead = hand_;
+  if (ring_.empty()) return std::nullopt;
+  // Each full sweep decrements every counter at least once, so at most
+  // max_count + 1 sweeps reach a zero-count victim.
+  LRUK_ASSERT(hand_ != ring_.end(), "gclock hand detached from the ring");
+  while (hand_->count > 0) {
+    --hand_->count;
     AdvanceHand();
-    if (hand_ == dead) hand_ = ring_.end();
-    ring_.erase(dead);
-    entries_.erase(entry_it);
-    --evictable_count_;
-    return victim;
   }
-  LRUK_UNREACHABLE("gclock sweep failed to find a victim");
-  return std::nullopt;
+  PageId victim = hand_->page;
+  auto dead = hand_;
+  AdvanceHand();
+  if (hand_ == dead) hand_ = ring_.end();
+  ring_.erase(dead);
+  entries_.erase(victim);
+  return victim;
 }
 
 void GClockPolicy::Remove(PageId p) {
   auto it = entries_.find(p);
   LRUK_ASSERT(it != entries_.end(), "Remove on a non-resident page");
-  if (it->second.evictable) --evictable_count_;
-  if (hand_ == it->second.pos) AdvanceHand();
-  if (hand_ == it->second.pos) hand_ = ring_.end();
-  ring_.erase(it->second.pos);
+  if (hand_ == it->second) AdvanceHand();
+  if (hand_ == it->second) hand_ = ring_.end();
+  ring_.erase(it->second);
   entries_.erase(it);
-}
-
-void GClockPolicy::SetEvictable(PageId p, bool evictable) {
-  auto it = entries_.find(p);
-  LRUK_ASSERT(it != entries_.end(), "SetEvictable on a non-resident page");
-  if (it->second.evictable != evictable) {
-    it->second.evictable = evictable;
-    evictable_count_ += evictable ? 1 : -1;
-  }
 }
 
 

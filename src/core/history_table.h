@@ -98,8 +98,6 @@ struct HistoryBlock {
   uint32_t last_process = 0;
   // Whether the page currently occupies a buffer slot.
   bool resident = false;
-  // Whether the page may be chosen as a victim (buffer-pool pinning).
-  bool evictable = true;
   // LruKPolicy lazy-heap bookkeeping: whether the victim heap holds an
   // entry for this page. Owned by the policy, stored here so the hit path
   // needs no side lookup. Reset (like everything else) when retained

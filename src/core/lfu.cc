@@ -4,11 +4,8 @@ namespace lruk {
 
 LfuPolicy::LfuPolicy(LfuOptions options) : options_(options) {}
 
-LfuPolicy::HeapKey LfuPolicy::KeyFor(PageId p,
-                                     const ResidentEntry& entry) const {
-  auto it = counts_.find(p);
-  uint64_t count = (it == counts_.end()) ? 0 : it->second;
-  return HeapKey{count, entry.last_tick, p};
+LfuPolicy::HeapKey LfuPolicy::KeyFor(PageId p, uint64_t last_tick) const {
+  return HeapKey{ReferenceCount(p), last_tick, p};
 }
 
 uint64_t LfuPolicy::ReferenceCount(PageId p) const {
@@ -20,19 +17,18 @@ void LfuPolicy::RecordAccess(PageId p, AccessType /*type*/) {
   auto it = resident_.find(p);
   LRUK_ASSERT(it != resident_.end(), "RecordAccess on a non-resident page");
   ++tick_;
-  if (it->second.evictable) heap_.erase(KeyFor(p, it->second));
+  heap_.erase(KeyFor(p, it->second));
   ++counts_[p];
-  it->second.last_tick = tick_;
-  if (it->second.evictable) heap_.insert(KeyFor(p, it->second));
+  it->second = tick_;
+  heap_.insert(KeyFor(p, it->second));
 }
 
 void LfuPolicy::Admit(PageId p, AccessType /*type*/) {
   LRUK_ASSERT(!resident_.contains(p), "Admit on an already-resident page");
   ++tick_;
   ++counts_[p];
-  auto [it, inserted] =
-      resident_.emplace(p, ResidentEntry{tick_, /*evictable=*/true});
-  heap_.insert(KeyFor(p, it->second));
+  resident_.emplace(p, tick_);
+  heap_.insert(KeyFor(p, tick_));
 }
 
 std::optional<PageId> LfuPolicy::Evict() {
@@ -47,23 +43,10 @@ std::optional<PageId> LfuPolicy::Evict() {
 void LfuPolicy::Remove(PageId p) {
   auto it = resident_.find(p);
   LRUK_ASSERT(it != resident_.end(), "Remove on a non-resident page");
-  if (it->second.evictable) heap_.erase(KeyFor(p, it->second));
+  heap_.erase(KeyFor(p, it->second));
   resident_.erase(it);
   if (options_.forget_on_eviction) counts_.erase(p);
 }
-
-void LfuPolicy::SetEvictable(PageId p, bool evictable) {
-  auto it = resident_.find(p);
-  LRUK_ASSERT(it != resident_.end(), "SetEvictable on a non-resident page");
-  if (it->second.evictable == evictable) return;
-  if (evictable) {
-    heap_.insert(KeyFor(p, it->second));
-  } else {
-    heap_.erase(KeyFor(p, it->second));
-  }
-  it->second.evictable = evictable;
-}
-
 
 void LfuPolicy::ForEachResident(
     const std::function<void(PageId)>& visit) const {

@@ -33,9 +33,7 @@ class LfuPolicy final : public ReplacementPolicy {
   void Admit(PageId p, AccessType type) override;
   std::optional<PageId> Evict() override;
   void Remove(PageId p) override;
-  void SetEvictable(PageId p, bool evictable) override;
   size_t ResidentCount() const override { return resident_.size(); }
-  size_t EvictableCount() const override { return heap_.size(); }
   bool IsResident(PageId p) const override { return resident_.contains(p); }
   void ForEachResident(
       const std::function<void(PageId)>& visit) const override;
@@ -55,19 +53,15 @@ class LfuPolicy final : public ReplacementPolicy {
     friend auto operator<=>(const HeapKey&, const HeapKey&) = default;
   };
 
-  struct ResidentEntry {
-    uint64_t last_tick = 0;
-    bool evictable = true;
-  };
-
-  HeapKey KeyFor(PageId p, const ResidentEntry& entry) const;
+  HeapKey KeyFor(PageId p, uint64_t last_tick) const;
 
   LfuOptions options_;
   uint64_t tick_ = 0;
   // Persistent counts (all pages ever seen, unless forget_on_eviction).
   std::unordered_map<PageId, uint64_t> counts_;
-  std::unordered_map<PageId, ResidentEntry> resident_;
-  // Evictable resident pages ordered by (count, recency).
+  // Resident page -> tick of its last reference.
+  std::unordered_map<PageId, uint64_t> resident_;
+  // Resident pages ordered by (count, recency).
   std::set<HeapKey> heap_;
 };
 

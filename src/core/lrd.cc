@@ -39,9 +39,7 @@ void LrdPolicy::Admit(PageId p, AccessType /*type*/) {
   LRUK_ASSERT(!entries_.contains(p), "Admit on an already-resident page");
   Tick();
   entries_.emplace(
-      p, Entry{/*reference_count=*/1, /*admitted_at=*/clock_ - 1,
-               /*evictable=*/true});
-  ++evictable_count_;
+      p, Entry{/*reference_count=*/1, /*admitted_at=*/clock_ - 1});
 }
 
 std::optional<PageId> LrdPolicy::Evict() {
@@ -49,7 +47,6 @@ std::optional<PageId> LrdPolicy::Evict() {
   PageId victim = kInvalidPageId;
   double best_density = 0.0;
   for (const auto& [page, entry] : entries_) {
-    if (!entry.evictable) continue;
     double d = DensityOf(entry);
     // Ties broken by smaller page id for determinism.
     if (best == nullptr || d < best_density ||
@@ -61,26 +58,14 @@ std::optional<PageId> LrdPolicy::Evict() {
   }
   if (best == nullptr) return std::nullopt;
   entries_.erase(victim);
-  --evictable_count_;
   return victim;
 }
 
 void LrdPolicy::Remove(PageId p) {
   auto it = entries_.find(p);
   LRUK_ASSERT(it != entries_.end(), "Remove on a non-resident page");
-  if (it->second.evictable) --evictable_count_;
   entries_.erase(it);
 }
-
-void LrdPolicy::SetEvictable(PageId p, bool evictable) {
-  auto it = entries_.find(p);
-  LRUK_ASSERT(it != entries_.end(), "SetEvictable on a non-resident page");
-  if (it->second.evictable != evictable) {
-    it->second.evictable = evictable;
-    evictable_count_ += evictable ? 1 : -1;
-  }
-}
-
 
 void LrdPolicy::ForEachResident(
     const std::function<void(PageId)>& visit) const {

@@ -35,9 +35,7 @@ class LrdPolicy final : public ReplacementPolicy {
   void Admit(PageId p, AccessType type) override;
   std::optional<PageId> Evict() override;
   void Remove(PageId p) override;
-  void SetEvictable(PageId p, bool evictable) override;
   size_t ResidentCount() const override { return entries_.size(); }
-  size_t EvictableCount() const override { return evictable_count_; }
   bool IsResident(PageId p) const override { return entries_.contains(p); }
   void ForEachResident(
       const std::function<void(PageId)>& visit) const override;
@@ -52,7 +50,6 @@ class LrdPolicy final : public ReplacementPolicy {
   struct Entry {
     uint64_t reference_count = 0;
     uint64_t admitted_at = 0;  // Clock value when the page entered.
-    bool evictable = true;
   };
 
   void Tick();
@@ -61,7 +58,6 @@ class LrdPolicy final : public ReplacementPolicy {
   LrdOptions options_;
   uint64_t clock_ = 0;
   std::unordered_map<PageId, Entry> entries_;
-  size_t evictable_count_ = 0;
 };
 
 }  // namespace lruk

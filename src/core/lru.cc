@@ -2,54 +2,32 @@
 
 namespace lruk {
 
-void LruPolicy::MoveToFront(Entry& entry) {
-  recency_.splice(recency_.begin(), recency_, entry.pos);
-}
-
 void LruPolicy::RecordAccess(PageId p, AccessType /*type*/) {
   auto it = entries_.find(p);
   LRUK_ASSERT(it != entries_.end(), "RecordAccess on a non-resident page");
-  MoveToFront(it->second);
+  recency_.splice(recency_.begin(), recency_, it->second);
 }
 
 void LruPolicy::Admit(PageId p, AccessType /*type*/) {
   LRUK_ASSERT(!entries_.contains(p), "Admit on an already-resident page");
   recency_.push_front(p);
-  entries_.emplace(p, Entry{recency_.begin(), /*evictable=*/true});
-  ++evictable_count_;
+  entries_.emplace(p, recency_.begin());
 }
 
 std::optional<PageId> LruPolicy::Evict() {
-  // Walk from the LRU end, skipping pinned pages.
-  for (auto it = recency_.rbegin(); it != recency_.rend(); ++it) {
-    auto entry_it = entries_.find(*it);
-    if (!entry_it->second.evictable) continue;
-    PageId victim = *it;
-    recency_.erase(std::next(it).base());
-    entries_.erase(entry_it);
-    --evictable_count_;
-    return victim;
-  }
-  return std::nullopt;
+  if (recency_.empty()) return std::nullopt;
+  PageId victim = recency_.back();
+  recency_.pop_back();
+  entries_.erase(victim);
+  return victim;
 }
 
 void LruPolicy::Remove(PageId p) {
   auto it = entries_.find(p);
   LRUK_ASSERT(it != entries_.end(), "Remove on a non-resident page");
-  if (it->second.evictable) --evictable_count_;
-  recency_.erase(it->second.pos);
+  recency_.erase(it->second);
   entries_.erase(it);
 }
-
-void LruPolicy::SetEvictable(PageId p, bool evictable) {
-  auto it = entries_.find(p);
-  LRUK_ASSERT(it != entries_.end(), "SetEvictable on a non-resident page");
-  if (it->second.evictable != evictable) {
-    it->second.evictable = evictable;
-    evictable_count_ += evictable ? 1 : -1;
-  }
-}
-
 
 void LruPolicy::ForEachResident(
     const std::function<void(PageId)>& visit) const {

@@ -13,8 +13,6 @@
 namespace lruk {
 
 // O(1) per operation: a recency list plus a hash map of list iterators.
-// Pinned pages stay in the list (their recency position is preserved) and
-// are skipped during victim search.
 class LruPolicy final : public ReplacementPolicy {
  public:
   LruPolicy() = default;
@@ -23,26 +21,16 @@ class LruPolicy final : public ReplacementPolicy {
   void Admit(PageId p, AccessType type) override;
   std::optional<PageId> Evict() override;
   void Remove(PageId p) override;
-  void SetEvictable(PageId p, bool evictable) override;
   size_t ResidentCount() const override { return entries_.size(); }
-  size_t EvictableCount() const override { return evictable_count_; }
   bool IsResident(PageId p) const override { return entries_.contains(p); }
   void ForEachResident(
       const std::function<void(PageId)>& visit) const override;
   std::string_view Name() const override { return "LRU"; }
 
  private:
-  struct Entry {
-    std::list<PageId>::iterator pos;
-    bool evictable = true;
-  };
-
-  void MoveToFront(Entry& entry);
-
   // Most recently used at the front.
   std::list<PageId> recency_;
-  std::unordered_map<PageId, Entry> entries_;
-  size_t evictable_count_ = 0;
+  std::unordered_map<PageId, std::list<PageId>::iterator> entries_;
 };
 
 }  // namespace lruk

@@ -7,14 +7,13 @@ namespace lruk {
 
 LruKPolicy::LruKPolicy(LruKOptions options)
     : options_(options),
-      index_kind_(options.use_linear_scan ? VictimIndex::kLinear
-                                          : options.victim_index),
       name_("LRU-" + std::to_string(options.k)),
       table_(options.k, options.retained_information_period,
              options.max_nonresident_history, options.capacity_hint) {
   LRUK_ASSERT(options_.k >= 1 && options_.k <= kMaxHistoryK,
               "LRU-K requires 1 <= K <= kMaxHistoryK");
-  if (index_kind_ == VictimIndex::kLazyHeap && options_.capacity_hint > 0) {
+  if (options_.victim_index == VictimIndex::kLazyHeap &&
+      options_.capacity_hint > 0) {
     // Pre-size the heap's backing vector for the expected resident count.
     std::vector<VictimKey> storage;
     storage.reserve(options_.capacity_hint);
@@ -54,9 +53,37 @@ Timestamp LruKPolicy::Tick() {
 }
 
 void LruKPolicy::HeapPushIfAbsent(PageId p, HistoryBlock& block) {
+  // Mostly dead or duplicate entries: rebuild first (which may index p).
+  if (!block.in_victim_heap && heap_.size() > 2 * resident_count_) {
+    CompactVictimHeap();
+  }
   if (block.in_victim_heap) return;
   heap_.push(KeyFor(p, block));
   block.in_victim_heap = true;
+}
+
+void LruKPolicy::CompactVictimHeap() {
+  // Victim choice depends only on the resident pages' current keys, so
+  // keeping one fresh entry per resident page changes no decision.
+  std::vector<VictimKey> entries;
+  entries.reserve(heap_.size());
+  while (!heap_.empty()) {
+    entries.push_back(heap_.top());
+    heap_.pop();
+    if (HistoryBlock* block = table_.Find(entries.back().page)) {
+      block->in_victim_heap = false;
+    }
+  }
+  std::vector<VictimKey> live;
+  for (const VictimKey& entry : entries) {
+    HistoryBlock* block = table_.Find(entry.page);
+    if (block == nullptr || !block->resident || block->in_victim_heap) {
+      continue;
+    }
+    live.push_back(KeyFor(entry.page, *block));
+    block->in_victim_heap = true;
+  }
+  heap_ = decltype(heap_)(std::greater<VictimKey>{}, std::move(live));
 }
 
 void LruKPolicy::RecordAccess(PageId p, AccessType /*type*/) {
@@ -72,19 +99,10 @@ void LruKPolicy::RecordAccess(PageId p, AccessType /*type*/) {
     // A new, uncorrelated reference (Figure 2.1, then-branch): close the
     // correlated period and credit only its start-to-start interval.
     Timestamp correlation_period = block->last - block->hist.front();
-    // kOrderedSet repositions the victim index via extract()/insert() of
-    // the same node so the hit never round-trips the allocator. kLazyHeap
-    // touches nothing here — the heap entry goes stale and is re-keyed
-    // when an eviction pops it (the O(1) hit path). The key only ever
-    // grows under this shift, which is what makes staleness safe (see
-    // DESIGN.md "Victim index structures").
-    std::set<VictimKey>::node_type node;
-    bool reposition =
-        index_kind_ == VictimIndex::kOrderedSet && block->evictable;
-    if (reposition) {
-      node = queue_.extract(KeyFor(p, *block));
-      LRUK_ASSERT(!node.empty(), "evictable page missing from victim index");
-    }
+    // The victim heap is not touched here: the page's heap entry goes
+    // stale and is re-keyed when an eviction pops it (the O(1) hit path).
+    // The key only ever grows under this shift, which is what makes
+    // staleness safe (see DESIGN.md "Victim index structures").
     for (size_t i = block->hist.size() - 1; i >= 1; --i) {
       // Simultaneous shift; unknown entries (0) stay unknown.
       block->hist[i] =
@@ -92,10 +110,6 @@ void LruKPolicy::RecordAccess(PageId p, AccessType /*type*/) {
     }
     block->hist.front() = t;
     block->last = t;
-    if (reposition) {
-      node.value() = KeyFor(p, *block);
-      queue_.insert(std::move(node));
-    }
   } else {
     // A correlated reference: only LAST(p) moves; the history (and thus the
     // page's position in the victim order) is unchanged.
@@ -126,22 +140,13 @@ void LruKPolicy::Admit(PageId p, AccessType /*type*/) {
   block.last = t;
   block.last_process = current_process_;
   block.resident = true;
-  block.evictable = true;
-  switch (index_kind_) {
-    case VictimIndex::kOrderedSet:
-      queue_.insert(KeyFor(p, block));
-      break;
-    case VictimIndex::kLazyHeap:
-      // A pre-eviction entry may survive in the heap (flagged); its key is
-      // <= the post-shift key, so it covers this page until re-keyed.
-      // Fresh/reset blocks have the flag cleared and get a new entry.
-      HeapPushIfAbsent(p, block);
-      break;
-    case VictimIndex::kLinear:
-      break;
+  if (options_.victim_index == VictimIndex::kLazyHeap) {
+    // A pre-eviction entry may survive in the heap (flagged); its key is
+    // <= the post-shift key, so it covers this page until re-keyed.
+    // Fresh/reset blocks have the flag cleared and get a new entry.
+    HeapPushIfAbsent(p, block);
   }
   ++resident_count_;
-  ++evictable_count_;
 }
 
 bool LruKPolicy::EligibleAt(const HistoryBlock& block, Timestamp t) const {
@@ -149,22 +154,22 @@ bool LruKPolicy::EligibleAt(const HistoryBlock& block, Timestamp t) const {
 }
 
 std::optional<PageId> LruKPolicy::PickVictimLazyHeap(Timestamp t) {
-  // Pops ascend by key. Invariant: every evictable resident page has a
-  // heap entry with key <= its current key (keys only grow while a block
-  // keeps its history; the paths that can shrink a key — RIP expiry,
-  // Remove — clear the flag, and the next Admit pushes a fresh entry). So
-  // the first pop whose key still matches its block is the true minimum,
-  // exactly the entry the ordered index would surface first.
+  // Pops ascend by key. Invariant: every resident page has a heap entry
+  // with key <= its current key (keys only grow while a block keeps its
+  // history; the paths that can shrink a key — RIP expiry, Remove — clear
+  // the flag, and the next Admit pushes a fresh entry). So the first pop
+  // whose key still matches its block is the true minimum, the page the
+  // linear scan would pick.
   std::vector<VictimKey> ineligible;  // Fresh pops inside their CRP.
   std::optional<VictimKey> victim;
   while (!heap_.empty()) {
     VictimKey entry = heap_.top();
     heap_.pop();
     HistoryBlock* block = table_.Find(entry.page);
-    if (block == nullptr || !block->resident || !block->evictable) {
-      // Dead entry: the page left the evictable-resident set after the
-      // push (eviction, pin, or removal — all lazy). Clearing the flag
-      // lets SetEvictable/Admit re-index the page later.
+    if (block == nullptr || !block->resident) {
+      // Dead entry: the page left the resident set after the push
+      // (eviction or removal, both lazy). Clearing the flag lets the next
+      // Admit/Restore re-index the page.
       if (block != nullptr) block->in_victim_heap = false;
       continue;
     }
@@ -186,8 +191,8 @@ std::optional<PageId> LruKPolicy::PickVictimLazyHeap(Timestamp t) {
   if (!victim && !ineligible.empty()) {
     // Everyone is inside a correlated period; a real buffer manager still
     // has to yield a slot (see header). The first fresh pop is the minimum
-    // current key over all evictable residents, eligible or not — the same
-    // fallback the ordered index and the linear scan take.
+    // current key over all residents, eligible or not — the same fallback
+    // the linear scan takes.
     victim = ineligible.front();
     keep_from = 1;
     ++fallback_evictions_;
@@ -201,30 +206,16 @@ std::optional<PageId> LruKPolicy::PickVictimLazyHeap(Timestamp t) {
   return victim->page;
 }
 
-std::optional<PageId> LruKPolicy::PickVictimIndexed(Timestamp t) {
-  // Keys ascend by (HIST(p,K), HIST(p,1)), so the first eligible entry is
-  // the page with maximum Backward K-distance; infinite-distance pages
-  // (HIST(p,K) == 0) come first, ordered by subsidiary LRU.
-  for (const VictimKey& key : queue_) {
-    const HistoryBlock* block = table_.Find(key.page);
-    if (EligibleAt(*block, t)) return key.page;
-  }
-  if (!queue_.empty()) {
-    // Everyone is inside a correlated period; a real buffer manager still
-    // has to yield a slot (see header). Take the best key regardless.
-    ++fallback_evictions_;
-    return queue_.begin()->page;
-  }
-  return std::nullopt;
-}
-
 std::optional<PageId> LruKPolicy::PickVictimLinear(Timestamp t) {
   // Figure 2.1's "for all pages q in the buffer" loop, extended with the
-  // subsidiary-LRU tie-break on HIST(q,1) and the pinning filter.
+  // subsidiary-LRU tie-break on HIST(q,1). Keys ascend by (HIST(q,K),
+  // HIST(q,1)), so the smallest eligible key is the page with maximum
+  // Backward K-distance; infinite-distance pages (HIST(q,K) == 0) come
+  // first.
   std::optional<VictimKey> best;
   std::optional<VictimKey> best_ineligible;
   table_.ForEach([&](PageId page, const HistoryBlock& block) {
-    if (!block.resident || !block.evictable) return;
+    if (!block.resident) return;
     VictimKey key = KeyFor(page, block);
     if (EligibleAt(block, t)) {
       if (!best || key < *best) best = key;
@@ -241,7 +232,7 @@ std::optional<PageId> LruKPolicy::PickVictimLinear(Timestamp t) {
 }
 
 std::optional<PageId> LruKPolicy::EvictOne(bool defer_retention) {
-  if (evictable_count_ == 0) return std::nullopt;
+  if (resident_count_ == 0) return std::nullopt;
   // The eviction happens while servicing the *next* reference (Figure 2.1
   // runs victim selection at the faulting reference's time t); our caller
   // invokes Evict() just before Admit() ticks the clock, so eligibility is
@@ -253,26 +244,14 @@ std::optional<PageId> LruKPolicy::EvictOne(bool defer_retention) {
   } else {
     t = time_ + 1;
   }
-  std::optional<PageId> victim;
-  switch (index_kind_) {
-    case VictimIndex::kLazyHeap:
-      victim = PickVictimLazyHeap(t);
-      break;
-    case VictimIndex::kOrderedSet:
-      victim = PickVictimIndexed(t);
-      break;
-    case VictimIndex::kLinear:
-      victim = PickVictimLinear(t);
-      break;
-  }
-  // With evictable pages present, every search mode must produce a victim
-  // (the lazy heap's coverage invariant guarantees an entry exists).
-  LRUK_ASSERT(victim.has_value(), "victim index lost an evictable page");
+  std::optional<PageId> victim =
+      options_.victim_index == VictimIndex::kLazyHeap ? PickVictimLazyHeap(t)
+                                                      : PickVictimLinear(t);
+  // With pages resident, both search modes must produce a victim (the lazy
+  // heap's coverage invariant guarantees an entry exists).
+  LRUK_ASSERT(victim.has_value(), "victim index lost a resident page");
   if (!victim) return std::nullopt;
   HistoryBlock* block = table_.Find(*victim);
-  if (index_kind_ == VictimIndex::kOrderedSet) {
-    queue_.erase(KeyFor(*victim, *block));
-  }
   // History is retained past residence — the whole point of Section 2.1.2
   // — up to the configured non-resident block budget. EvictBatch defers
   // the retention (and the budget enforcement) so a nominee the caller
@@ -284,7 +263,6 @@ std::optional<PageId> LruKPolicy::EvictOne(bool defer_retention) {
     table_.OnEvicted(*victim, *block);
   }
   --resident_count_;
-  --evictable_count_;
   return victim;
 }
 
@@ -330,21 +308,12 @@ void LruKPolicy::Restore(PageId p) {
     block.last_process = current_process_;
   }
   block.resident = true;
-  block.evictable = true;
-  switch (index_kind_) {
-    case VictimIndex::kOrderedSet:
-      queue_.insert(KeyFor(p, block));
-      break;
-    case VictimIndex::kLazyHeap:
-      // Evict()'s pop cleared in_victim_heap for the true victim, so this
-      // re-establishes heap coverage with the page's current key.
-      HeapPushIfAbsent(p, block);
-      break;
-    case VictimIndex::kLinear:
-      break;
+  if (options_.victim_index == VictimIndex::kLazyHeap) {
+    // Evict()'s pop cleared in_victim_heap for the true victim, so this
+    // re-establishes heap coverage with the page's current key.
+    HeapPushIfAbsent(p, block);
   }
   ++resident_count_;
-  ++evictable_count_;
 }
 
 void LruKPolicy::Remove(PageId p) {
@@ -352,43 +321,11 @@ void LruKPolicy::Remove(PageId p) {
   HistoryBlock* block = table_.Find(p);
   LRUK_ASSERT(block != nullptr && block->resident,
               "Remove on a non-resident page");
-  if (block->evictable) {
-    if (index_kind_ == VictimIndex::kOrderedSet) {
-      queue_.erase(KeyFor(p, *block));
-    }
-    // kLazyHeap: the entry dangles and is discarded when popped.
-    --evictable_count_;
-  }
+  // The page's heap entry dangles and is discarded when popped.
   --resident_count_;
   // Remove() means the page object was destroyed (not merely evicted), so
   // its history dies with it.
   table_.Erase(p);
-}
-
-void LruKPolicy::SetEvictable(PageId p, bool evictable) {
-  HistoryBlock* block = table_.Find(p);
-  LRUK_ASSERT(block != nullptr && block->resident,
-              "SetEvictable on a non-resident page");
-  if (block->evictable == evictable) return;
-  if (evictable) {
-    if (index_kind_ == VictimIndex::kOrderedSet) {
-      queue_.insert(KeyFor(p, *block));
-    }
-    ++evictable_count_;
-  } else {
-    if (index_kind_ == VictimIndex::kOrderedSet) {
-      queue_.erase(KeyFor(p, *block));
-    }
-    // kLazyHeap: pinning leaves the entry in place; a pop while the page
-    // is pinned discards it as dead.
-    --evictable_count_;
-  }
-  block->evictable = evictable;
-  if (evictable && index_kind_ == VictimIndex::kLazyHeap) {
-    // Un-pinning must restore heap coverage. If the pinned-era entry was
-    // never popped the flag is still set and this is a no-op.
-    HeapPushIfAbsent(p, *block);
-  }
 }
 
 std::optional<Timestamp> LruKPolicy::BackwardKDistance(PageId p) const {

@@ -15,16 +15,16 @@
 //  * A shift never turns an unknown entry (0) into a known one: for K >= 3
 //    and a nonzero correlated-period adjustment, Figure 2.1 would
 //    fabricate HIST(p,i) = correlation_period out of HIST(p,i-1) == 0.
-//  * If every evictable page is inside its Correlated Reference Period the
+//  * If every resident page is inside its Correlated Reference Period the
 //    paper's loop finds no victim; a buffer manager must still make room,
 //    so we fall back to the best key regardless of eligibility and count
 //    the event (fallback_evictions()).
 //
-// Victim search is pluggable (LruKOptions::victim_index, DESIGN.md "Victim
-// index structures"): a lazy min-heap whose hit path is allocation- and
-// rebalance-free (the default), the ordered std::set index keyed by
-// (HIST(p,K), HIST(p,1), page), or the paper's O(n) scan. Property tests
-// drive all three in lockstep to prove them behaviourally identical.
+// Victim search (LruKOptions::victim_index, DESIGN.md "Victim index
+// structures") uses a lazy min-heap keyed by (HIST(p,K), HIST(p,1), page)
+// whose hit path is allocation- and rebalance-free. The paper's O(n) scan
+// stays as the oracle; property tests drive both in lockstep to prove them
+// behaviourally identical.
 
 #ifndef LRUK_CORE_LRU_K_H_
 #define LRUK_CORE_LRU_K_H_
@@ -33,7 +33,6 @@
 #include <functional>
 #include <optional>
 #include <queue>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,12 +50,8 @@ enum class VictimIndex {
   // entry is left stale and re-keyed when an eviction pops it. Hits are
   // O(1) (no allocation, no rebalance); evictions are amortized O(log n).
   kLazyHeap,
-  // Ordered std::set of (HIST(p,K), HIST(p,1), page): every uncorrelated
-  // hit repositions the page's key (red-black rebalance). Kept as a
-  // differential oracle for the heap.
-  kOrderedSet,
   // The paper's Figure 2.1 "for all pages q in the buffer" loop; no index
-  // is maintained at all. O(1) hits, O(n) evictions.
+  // is maintained at all. O(1) hits, O(n) evictions. The tests' oracle.
   kLinear,
 };
 
@@ -84,11 +79,9 @@ struct LruKOptions {
   // warm-up does not rehash on every few admissions; 0 = no hint.
   // MakePolicy fills it from PolicyContext::capacity when unset.
   size_t capacity_hint = 0;
-  // Victim-search structure; kLazyHeap unless a test/bench pins one of the
-  // oracles.
+  // Victim-search structure; kLazyHeap unless a test or bench asks for
+  // the kLinear oracle.
   VictimIndex victim_index = VictimIndex::kLazyHeap;
-  // Legacy alias (predates the victim_index enum): true forces kLinear.
-  bool use_linear_scan = false;
   // Distinguish processes when deciding whether a reference is correlated
   // (Section 2.1.1: intra-transaction / intra-process pairs are
   // correlated, inter-process pairs are independent). When true, a
@@ -145,9 +138,7 @@ class LruKPolicy final : public ReplacementPolicy {
   // pending retention entry is simply dropped at the next flush.
   void Restore(PageId p) override;
   void Remove(PageId p) override;
-  void SetEvictable(PageId p, bool evictable) override;
   size_t ResidentCount() const override { return resident_count_; }
-  size_t EvictableCount() const override { return evictable_count_; }
   bool IsResident(PageId p) const override;
   void ForEachResident(
       const std::function<void(PageId)>& visit) const override;
@@ -156,8 +147,8 @@ class LruKPolicy final : public ReplacementPolicy {
   // --- Introspection (tests, benches, EXPERIMENTS.md plumbing) ---
 
   const LruKOptions& options() const { return options_; }
-  // The victim-search structure in use (use_linear_scan folded in).
-  VictimIndex victim_index() const { return index_kind_; }
+  // The victim-search structure in use.
+  VictimIndex victim_index() const { return options_.victim_index; }
   // Current logical time (count of references seen).
   Timestamp CurrentTime() const { return time_; }
   // b_t(p,K) at the current time; nullopt encodes infinity (page unknown,
@@ -177,8 +168,9 @@ class LruKPolicy final : public ReplacementPolicy {
     return table_.NonResidentCount();
   }
   // Entries in the lazy victim heap (kLazyHeap mode only; 0 otherwise).
-  // May exceed EvictableCount() by the stale/dangling entries not yet
-  // reaped, but tests assert it stays bounded.
+  // May exceed ResidentCount() by the stale/dangling entries not yet
+  // reaped; compaction keeps it within twice the largest resident count
+  // reached since the last admission.
   size_t VictimHeapSize() const { return heap_.size(); }
   // Runs the retained-information demon immediately; returns blocks purged.
   size_t PurgeHistory() { return table_.PurgeExpired(time_); }
@@ -228,29 +220,29 @@ class LruKPolicy final : public ReplacementPolicy {
   // Whether `block` is outside its Correlated Reference Period at time `t`.
   bool EligibleAt(const HistoryBlock& block, Timestamp t) const;
   // Pushes p's current key unless the heap already holds an entry for it
-  // (block.in_victim_heap). Keeps the heap at ~one entry per page.
+  // (block.in_victim_heap). Compacts first when the heap holds more than
+  // two entries per resident page.
   void HeapPushIfAbsent(PageId p, HistoryBlock& block);
-  // Victim search: lazy heap / ordered index / the paper's linear scan.
+  // Rebuilds the heap with one fresh entry per resident page, dropping the
+  // dead entries Remove and history resets leave behind and the duplicates
+  // their re-admissions create.
+  void CompactVictimHeap();
+  // Victim search: lazy heap / the paper's linear scan.
   std::optional<PageId> PickVictimLazyHeap(Timestamp t);
-  std::optional<PageId> PickVictimIndexed(Timestamp t);
   std::optional<PageId> PickVictimLinear(Timestamp t);
 
   LruKOptions options_;
-  VictimIndex index_kind_;
   std::string name_;
   Timestamp time_ = 0;
   Timestamp last_purge_time_ = 0;
   uint32_t current_process_ = 0;
   HistoryTable table_;
-  // kOrderedSet: evictable resident pages ordered by eviction preference.
-  std::set<VictimKey> queue_;
   // kLazyHeap: min-heap of (possibly stale) keys; see DESIGN.md "Victim
   // index structures" for the staleness protocol.
   std::priority_queue<VictimKey, std::vector<VictimKey>,
                       std::greater<VictimKey>>
       heap_;
   size_t resident_count_ = 0;
-  size_t evictable_count_ = 0;
   uint64_t fallback_evictions_ = 0;
   // EvictBatch nominees awaiting history retention (see EvictOne /
   // FlushDeferredEvictions). At most one batch deep in practice.

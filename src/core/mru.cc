@@ -5,46 +5,29 @@ namespace lruk {
 void MruPolicy::RecordAccess(PageId p, AccessType /*type*/) {
   auto it = entries_.find(p);
   LRUK_ASSERT(it != entries_.end(), "RecordAccess on a non-resident page");
-  recency_.splice(recency_.begin(), recency_, it->second.pos);
+  recency_.splice(recency_.begin(), recency_, it->second);
 }
 
 void MruPolicy::Admit(PageId p, AccessType /*type*/) {
   LRUK_ASSERT(!entries_.contains(p), "Admit on an already-resident page");
   recency_.push_front(p);
-  entries_.emplace(p, Entry{recency_.begin(), /*evictable=*/true});
-  ++evictable_count_;
+  entries_.emplace(p, recency_.begin());
 }
 
 std::optional<PageId> MruPolicy::Evict() {
-  for (auto it = recency_.begin(); it != recency_.end(); ++it) {
-    auto entry_it = entries_.find(*it);
-    if (!entry_it->second.evictable) continue;
-    PageId victim = *it;
-    recency_.erase(it);
-    entries_.erase(entry_it);
-    --evictable_count_;
-    return victim;
-  }
-  return std::nullopt;
+  if (recency_.empty()) return std::nullopt;
+  PageId victim = recency_.front();
+  recency_.pop_front();
+  entries_.erase(victim);
+  return victim;
 }
 
 void MruPolicy::Remove(PageId p) {
   auto it = entries_.find(p);
   LRUK_ASSERT(it != entries_.end(), "Remove on a non-resident page");
-  if (it->second.evictable) --evictable_count_;
-  recency_.erase(it->second.pos);
+  recency_.erase(it->second);
   entries_.erase(it);
 }
-
-void MruPolicy::SetEvictable(PageId p, bool evictable) {
-  auto it = entries_.find(p);
-  LRUK_ASSERT(it != entries_.end(), "SetEvictable on a non-resident page");
-  if (it->second.evictable != evictable) {
-    it->second.evictable = evictable;
-    evictable_count_ += evictable ? 1 : -1;
-  }
-}
-
 
 void MruPolicy::ForEachResident(
     const std::function<void(PageId)>& visit) const {

@@ -10,26 +10,22 @@ void RandomPolicy::RecordAccess(PageId p, AccessType /*type*/) {
 
 void RandomPolicy::Admit(PageId p, AccessType /*type*/) {
   LRUK_ASSERT(!entries_.contains(p), "Admit on an already-resident page");
-  evictable_.push_back(p);
-  entries_.emplace(p, Entry{evictable_.size() - 1});
+  pages_.push_back(p);
+  entries_.emplace(p, pages_.size() - 1);
 }
 
-void RandomPolicy::RemoveFromEvictable(Entry& entry) {
-  size_t slot = entry.slot;
-  PageId moved = evictable_.back();
-  evictable_[slot] = moved;
-  evictable_.pop_back();
-  if (slot < evictable_.size()) {
-    entries_.at(moved).slot = slot;
-  }
-  entry.slot = SIZE_MAX;
+void RandomPolicy::RemoveSlot(size_t slot) {
+  PageId moved = pages_.back();
+  pages_[slot] = moved;
+  pages_.pop_back();
+  if (slot < pages_.size()) entries_.at(moved) = slot;
 }
 
 std::optional<PageId> RandomPolicy::Evict() {
-  if (evictable_.empty()) return std::nullopt;
-  size_t slot = static_cast<size_t>(rng_.NextBounded(evictable_.size()));
-  PageId victim = evictable_[slot];
-  RemoveFromEvictable(entries_.at(victim));
+  if (pages_.empty()) return std::nullopt;
+  size_t slot = static_cast<size_t>(rng_.NextBounded(pages_.size()));
+  PageId victim = pages_[slot];
+  RemoveSlot(slot);
   entries_.erase(victim);
   return victim;
 }
@@ -37,23 +33,9 @@ std::optional<PageId> RandomPolicy::Evict() {
 void RandomPolicy::Remove(PageId p) {
   auto it = entries_.find(p);
   LRUK_ASSERT(it != entries_.end(), "Remove on a non-resident page");
-  if (it->second.slot != SIZE_MAX) RemoveFromEvictable(it->second);
+  RemoveSlot(it->second);
   entries_.erase(it);
 }
-
-void RandomPolicy::SetEvictable(PageId p, bool evictable) {
-  auto it = entries_.find(p);
-  LRUK_ASSERT(it != entries_.end(), "SetEvictable on a non-resident page");
-  bool currently = it->second.slot != SIZE_MAX;
-  if (currently == evictable) return;
-  if (evictable) {
-    evictable_.push_back(p);
-    it->second.slot = evictable_.size() - 1;
-  } else {
-    RemoveFromEvictable(it->second);
-  }
-}
-
 
 void RandomPolicy::ForEachResident(
     const std::function<void(PageId)>& visit) const {

@@ -1,4 +1,4 @@
-// RANDOM: evicts a uniformly random evictable page. The memoryless control
+// RANDOM: evicts a uniformly random resident page. The memoryless control
 // baseline — any policy worth its bookkeeping must beat it on skewed
 // workloads.
 
@@ -24,25 +24,21 @@ class RandomPolicy final : public ReplacementPolicy {
   void Admit(PageId p, AccessType type) override;
   std::optional<PageId> Evict() override;
   void Remove(PageId p) override;
-  void SetEvictable(PageId p, bool evictable) override;
   size_t ResidentCount() const override { return entries_.size(); }
-  size_t EvictableCount() const override { return evictable_.size(); }
   bool IsResident(PageId p) const override { return entries_.contains(p); }
   void ForEachResident(
       const std::function<void(PageId)>& visit) const override;
   std::string_view Name() const override { return "RANDOM"; }
 
  private:
-  struct Entry {
-    // Index into evictable_, or SIZE_MAX when pinned.
-    size_t slot = SIZE_MAX;
-  };
-
-  void RemoveFromEvictable(Entry& entry);
+  // Swap-removes the page at `slot` of pages_.
+  void RemoveSlot(size_t slot);
 
   RandomEngine rng_;
-  std::vector<PageId> evictable_;
-  std::unordered_map<PageId, Entry> entries_;
+  // The resident pages, in no particular order; victims are drawn from it.
+  std::vector<PageId> pages_;
+  // Resident page -> its index in pages_.
+  std::unordered_map<PageId, size_t> entries_;
 };
 
 }  // namespace lruk

@@ -15,11 +15,10 @@
 // references always advances the clock exactly T times regardless of the
 // hit/miss split.
 //
-// Pinning: SetEvictable(p, false) removes p from Evict()'s candidate set
-// without forgetting its statistics. BufferPool does not use it: its pins
-// are atomic counts the policy never sees, so it nominates victims with
-// EvictBatch, skips pinned nominees and Restores them. Policies driven by
-// a simulator never see pins either.
+// Pinning is not part of the contract: every resident page is a
+// candidate. Pins live only in the pool, as atomic counts the policy never
+// sees; the pool nominates victims with EvictBatch, skips pinned nominees
+// and Restores them.
 
 #ifndef LRUK_CORE_REPLACEMENT_POLICY_H_
 #define LRUK_CORE_REPLACEMENT_POLICY_H_
@@ -77,16 +76,16 @@ class ReplacementPolicy {
   // capacity themselves.
   virtual void Admit(PageId p, AccessType type) = 0;
 
-  // Selects a victim among evictable resident pages, removes it from the
-  // resident set, and returns it. Returns nullopt when no page is
-  // evictable. Does not tick the clock.
+  // Selects a victim among the resident pages, removes it from the
+  // resident set, and returns it. Returns a page whenever
+  // ResidentCount() > 0, nullopt otherwise. Does not tick the clock.
   virtual std::optional<PageId> Evict() = 0;
 
   // Batch victim nomination: pops up to `k` victims in exactly the order
   // repeated Evict() calls would return them, appends them to `*out`
   // (cleared first), and returns how many were nominated. Callers that
-  // must skip ineligible nominees (pinned frames on the latch-free hit
-  // path, the flusher's clean-peek) use this to nominate once instead of
+  // must skip ineligible nominees (pinned frames, the flusher's
+  // clean-peek) use this to nominate once instead of
   // paying an Evict/Restore round-trip per skipped candidate; every
   // nominee the caller does not consume must still be handed back via
   // Restore, in reverse nomination order (a consumed nominee simply
@@ -116,12 +115,12 @@ class ReplacementPolicy {
   // effects failed (the dirty write-back errored) or were provisional (a
   // flusher peek; a write-behind victim write still in flight).
   // Precondition: !IsResident(p) and p was returned by Evict() with no
-  // intervening Admit/Restore of p. Afterwards p is resident and
-  // evictable again, as if Evict() had never chosen it. Callers use this
-  // immediately (synchronous write-back failure), in LIFO order over a
-  // batch (the flusher's Evict×k peek), or DELAYED — a failed
-  // write-behind write re-admits its page after unrelated admissions and
-  // evictions have happened. The default costs one clock tick by
+  // intervening Admit/Restore of p. Afterwards p is resident again, as
+  // if Evict() had never chosen it. Callers use this immediately
+  // (synchronous write-back failure), in LIFO order over a batch (the
+  // flusher's Evict×k peek), or DELAYED — a failed write-behind write
+  // re-admits its page after unrelated admissions and evictions have
+  // happened. The default costs one clock tick by
   // re-admitting; policies that retain history (LRU-K) override it to
   // restore exactly from the retained block, without a tick (falling back
   // to a fresh re-admission if the history budget has since dropped it).
@@ -131,15 +130,8 @@ class ReplacementPolicy {
   // containing object was deleted). Precondition: IsResident(p).
   virtual void Remove(PageId p) = 0;
 
-  // Marks `p` (resident) as evictable or pinned. Newly admitted pages are
-  // evictable. Precondition: IsResident(p).
-  virtual void SetEvictable(PageId p, bool evictable) = 0;
-
   // Number of resident pages tracked by the policy.
   virtual size_t ResidentCount() const = 0;
-
-  // Number of resident pages currently eligible for Evict().
-  virtual size_t EvictableCount() const = 0;
 
   virtual bool IsResident(PageId p) const = 0;
 

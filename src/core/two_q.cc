@@ -33,26 +33,18 @@ void TwoQPolicy::Admit(PageId p, AccessType /*type*/) {
     a1out_.erase(ghost->second);
     a1out_index_.erase(ghost);
     am_.push_front(p);
-    entries_.emplace(p, Entry{Queue::kAm, am_.begin(), /*evictable=*/true});
+    entries_.emplace(p, Entry{Queue::kAm, am_.begin()});
   } else {
     a1in_.push_front(p);
-    entries_.emplace(p,
-                     Entry{Queue::kA1in, a1in_.begin(), /*evictable=*/true});
+    entries_.emplace(p, Entry{Queue::kA1in, a1in_.begin()});
   }
-  ++evictable_count_;
 }
 
-std::optional<PageId> TwoQPolicy::EvictFromTail(std::list<PageId>& list) {
-  for (auto it = list.rbegin(); it != list.rend(); ++it) {
-    auto entry_it = entries_.find(*it);
-    if (!entry_it->second.evictable) continue;
-    PageId victim = *it;
-    list.erase(std::next(it).base());
-    entries_.erase(entry_it);
-    --evictable_count_;
-    return victim;
-  }
-  return std::nullopt;
+PageId TwoQPolicy::EvictFromTail(std::list<PageId>& list) {
+  PageId victim = list.back();
+  list.pop_back();
+  entries_.erase(victim);
+  return victim;
 }
 
 void TwoQPolicy::PushGhost(PageId p) {
@@ -65,39 +57,21 @@ void TwoQPolicy::PushGhost(PageId p) {
 }
 
 std::optional<PageId> TwoQPolicy::Evict() {
+  if (entries_.empty()) return std::nullopt;
   if (a1in_.size() > kin_ || am_.empty()) {
-    if (auto victim = EvictFromTail(a1in_)) {
-      PushGhost(*victim);
-      return victim;
-    }
-    return EvictFromTail(am_);
-  }
-  if (auto victim = EvictFromTail(am_)) return victim;
-  // All of Am pinned; fall back to A1in.
-  if (auto victim = EvictFromTail(a1in_)) {
-    PushGhost(*victim);
+    PageId victim = EvictFromTail(a1in_);
+    PushGhost(victim);
     return victim;
   }
-  return std::nullopt;
+  return EvictFromTail(am_);
 }
 
 void TwoQPolicy::Remove(PageId p) {
   auto it = entries_.find(p);
   LRUK_ASSERT(it != entries_.end(), "Remove on a non-resident page");
-  if (it->second.evictable) --evictable_count_;
   (it->second.queue == Queue::kA1in ? a1in_ : am_).erase(it->second.pos);
   entries_.erase(it);
 }
-
-void TwoQPolicy::SetEvictable(PageId p, bool evictable) {
-  auto it = entries_.find(p);
-  LRUK_ASSERT(it != entries_.end(), "SetEvictable on a non-resident page");
-  if (it->second.evictable != evictable) {
-    it->second.evictable = evictable;
-    evictable_count_ += evictable ? 1 : -1;
-  }
-}
-
 
 void TwoQPolicy::ForEachResident(
     const std::function<void(PageId)>& visit) const {

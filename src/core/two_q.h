@@ -43,9 +43,7 @@ class TwoQPolicy final : public ReplacementPolicy {
   void Admit(PageId p, AccessType type) override;
   std::optional<PageId> Evict() override;
   void Remove(PageId p) override;
-  void SetEvictable(PageId p, bool evictable) override;
   size_t ResidentCount() const override { return entries_.size(); }
-  size_t EvictableCount() const override { return evictable_count_; }
   bool IsResident(PageId p) const override { return entries_.contains(p); }
   void ForEachResident(
       const std::function<void(PageId)>& visit) const override;
@@ -63,12 +61,10 @@ class TwoQPolicy final : public ReplacementPolicy {
   struct Entry {
     Queue queue;
     std::list<PageId>::iterator pos;
-    bool evictable = true;
   };
 
-  // Evicts from `list`'s tail, skipping pinned pages. Returns the victim or
-  // nullopt if every page in the list is pinned.
-  std::optional<PageId> EvictFromTail(std::list<PageId>& list);
+  // Evicts `list`'s tail. Precondition: !list.empty().
+  PageId EvictFromTail(std::list<PageId>& list);
   void PushGhost(PageId p);
 
   TwoQOptions options_;
@@ -80,7 +76,6 @@ class TwoQPolicy final : public ReplacementPolicy {
   std::list<PageId> a1out_;  // Ghost FIFO: newest at front.
   std::unordered_map<PageId, Entry> entries_;
   std::unordered_map<PageId, std::list<PageId>::iterator> a1out_index_;
-  size_t evictable_count_ = 0;
 };
 
 }  // namespace lruk

@@ -64,9 +64,7 @@ class LoggingPolicy : public ReplacementPolicy {
   void Admit(PageId p, AccessType type) override { RecordAccess(p, type); }
   std::optional<PageId> Evict() override { return std::nullopt; }
   void Remove(PageId) override {}
-  void SetEvictable(PageId, bool) override {}
   size_t ResidentCount() const override { return 0; }
-  size_t EvictableCount() const override { return 0; }
   bool IsResident(PageId) const override { return true; }
   void ForEachResident(const std::function<void(PageId)>&) const override {}
   std::string_view Name() const override { return "LOGGING"; }

@@ -137,19 +137,6 @@ TEST(ArcTest, EvictWithoutHintStillWorks) {
   EXPECT_EQ(arc.ResidentCount(), 1u);
 }
 
-TEST(ArcTest, PinnedPagesSurviveReplace) {
-  ArcPolicy arc(3);
-  Miss(arc, 1, 3);
-  Miss(arc, 2, 3);
-  Miss(arc, 3, 3);
-  arc.SetEvictable(1, false);  // 1 is T1's LRU but pinned.
-  arc.PrepareAdmit(9);
-  auto victim = arc.Evict();
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_NE(*victim, 1u);
-  EXPECT_TRUE(arc.IsResident(1));
-}
-
 TEST(ArcTest, RandomizedDirectoryInvariants) {
   constexpr size_t kCapacity = 12;
   ArcPolicy arc(kCapacity);

@@ -69,19 +69,6 @@ TEST(DomainSeparationTest, LruWithinDomain) {
   EXPECT_EQ(internal[0], 2u);
 }
 
-TEST(DomainSeparationTest, PinningForwardsToDomains) {
-  DomainSeparationPolicy ds(EvenOdd(2, 2));
-  ds.Admit(0, AccessType::kRead);
-  ds.Admit(2, AccessType::kRead);
-  ds.SetEvictable(0, false);
-  EXPECT_EQ(ds.EvictableCount(), 1u);
-  ds.PrepareAdmit(4);
-  auto victim = ds.Evict();
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(*victim, 2u);
-  EXPECT_TRUE(ds.IsResident(0));
-}
-
 TEST(DomainSeparationTest, RemoveAndEnumeration) {
   DomainSeparationPolicy ds(EvenOdd(4, 4));
   for (PageId p = 0; p < 6; ++p) ds.Admit(p, AccessType::kRead);

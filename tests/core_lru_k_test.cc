@@ -244,18 +244,6 @@ TEST(LruKTest, AutomaticDemonPurges) {
   EXPECT_EQ(policy.DebugBlock(1), nullptr);
 }
 
-TEST(LruKTest, PinnedPagesAreNotVictims) {
-  LruKPolicy policy(Opts(2));
-  policy.Admit(1, AccessType::kRead);
-  policy.Admit(2, AccessType::kRead);
-  policy.SetEvictable(1, false);
-  EXPECT_EQ(policy.EvictableCount(), 1u);
-  EXPECT_EQ(policy.Evict(), std::optional<PageId>(2));
-  EXPECT_EQ(policy.Evict(), std::nullopt);
-  policy.SetEvictable(1, true);
-  EXPECT_EQ(policy.Evict(), std::optional<PageId>(1));
-}
-
 TEST(LruKTest, RemoveErasesHistory) {
   LruKPolicy policy(Opts(2));
   policy.Admit(1, AccessType::kRead);
@@ -272,15 +260,13 @@ TEST(LruKTest, CountsStayConsistent) {
   policy.Admit(2, AccessType::kRead);
   policy.Admit(3, AccessType::kRead);
   EXPECT_EQ(policy.ResidentCount(), 3u);
-  EXPECT_EQ(policy.EvictableCount(), 3u);
-  policy.SetEvictable(2, false);
-  EXPECT_EQ(policy.EvictableCount(), 2u);
-  policy.Evict();
+  EXPECT_EQ(policy.Evict(), std::optional<PageId>(1));
   EXPECT_EQ(policy.ResidentCount(), 2u);
-  EXPECT_EQ(policy.EvictableCount(), 1u);
   policy.Remove(2);
   EXPECT_EQ(policy.ResidentCount(), 1u);
-  EXPECT_EQ(policy.EvictableCount(), 1u);
+  EXPECT_EQ(policy.Evict(), std::optional<PageId>(3));
+  EXPECT_EQ(policy.ResidentCount(), 0u);
+  EXPECT_EQ(policy.Evict(), std::nullopt);
 }
 
 TEST(LruKTest, CurrentTimeCountsAllReferences) {
@@ -311,7 +297,7 @@ TEST(LruKTest, K1BehavesAsClassicalLruOnBasicSequence) {
 
 TEST(LruKTest, LinearScanModeMatchesBasicScenario) {
   LruKOptions options = Opts(2);
-  options.use_linear_scan = true;
+  options.victim_index = VictimIndex::kLinear;
   LruKPolicy policy(options);
   EXPECT_EQ(policy.victim_index(), VictimIndex::kLinear);
   policy.Admit(1, AccessType::kRead);
@@ -340,17 +326,26 @@ TEST(LruKLazyHeapTest, HitsAddNoHeapEntries) {
   EXPECT_EQ(policy.VictimHeapSize(), 2u);
 }
 
-TEST(LruKLazyHeapTest, PinUnpinChurnDoesNotGrowHeapUnbounded) {
-  // SetEvictable(true) re-pushes only when the page has no live heap entry
-  // (in_victim_heap); a pin/unpin loop must not mint one entry per cycle.
+TEST(LruKLazyHeapTest, RemoveReadmitChurnDoesNotGrowHeapUnbounded) {
+  // Remove leaves the page's heap entry dangling and the re-Admit pushes a
+  // fresh one; the dead entries are reaped when evictions pop them. A
+  // delete/re-create loop interleaved with misses must keep the heap near
+  // one entry per page instead of growing with the cycle count.
+  constexpr PageId kResident = 8;
   LruKPolicy policy(Opts(2));
-  policy.Admit(1, AccessType::kRead);
-  policy.Admit(2, AccessType::kRead);
-  for (int i = 0; i < 1000; ++i) {
-    policy.SetEvictable(1, false);
-    policy.SetEvictable(1, true);
+  for (PageId p = 1; p <= kResident; ++p) {
+    policy.Admit(p, AccessType::kRead);
   }
-  EXPECT_EQ(policy.VictimHeapSize(), 2u);
+  for (int i = 0; i < 1000; ++i) {
+    PageId p = 1 + static_cast<PageId>(i) % kResident;
+    policy.Remove(p);
+    policy.Admit(p, AccessType::kRead);
+    std::optional<PageId> victim = policy.Evict();
+    ASSERT_TRUE(victim.has_value());
+    policy.Admit(*victim, AccessType::kRead);
+    ASSERT_EQ(policy.ResidentCount(), kResident);
+    ASSERT_LE(policy.VictimHeapSize(), 2 * kResident) << "cycle " << i;
+  }
 }
 
 TEST(LruKLazyHeapTest, StaleEntriesStillYieldTheTrueMinimum) {
@@ -374,7 +369,7 @@ TEST(LruKLazyHeapTest, StaleEntriesStillYieldTheTrueMinimum) {
 
 TEST(LruKLazyHeapTest, FallbackIgnoresCrpLikeTheOtherIndexes) {
   // Every page inside its CRP: the heap's fallback must pick the best key
-  // regardless of eligibility and count the event, like ordered/linear.
+  // regardless of eligibility and count the event, like the linear scan.
   LruKOptions options = Opts(2, /*crp=*/1000);
   LruKPolicy policy(options);
   policy.Admit(1, AccessType::kRead);
@@ -401,13 +396,13 @@ TEST(LruKLazyHeapTest, RemoveAndReadmitKeepsHeapConsistent) {
 
 // ---------------------------------------------------------------------------
 // EvictBatch exactness. One EvictBatch(k) call must nominate exactly the
-// sequence k sequential Evict() calls would return — for every victim
-// index — and restoring unused nominees must leave the policy as if they
+// sequence k sequential Evict() calls would return — for both victim
+// indexes — and restoring unused nominees must leave the policy as if they
 // had never been nominated (deferred retention, no history churn).
 
-// Mixed-distance state: 12 residents, skewed re-references so backward
-// K-distances differ, two pinned pages mid-range, and one infinite-
-// distance straggler re-referenced late.
+// Mixed-distance state: 12 admissions, skewed re-references so backward
+// K-distances differ, two pages removed mid-range (dead heap entries), and
+// one infinite-distance straggler re-referenced late.
 void DriveBatchTrace(LruKPolicy& p) {
   for (PageId q = 1; q <= 12; ++q) p.Admit(q, AccessType::kRead);
   for (int lap = 0; lap < 3; ++lap) {
@@ -416,8 +411,8 @@ void DriveBatchTrace(LruKPolicy& p) {
     }
   }
   p.RecordAccess(9, AccessType::kRead);
-  p.SetEvictable(4, false);
-  p.SetEvictable(10, false);
+  p.Remove(4);
+  p.Remove(10);
 }
 
 LruKOptions IndexedOpts(VictimIndex index) {
@@ -437,7 +432,7 @@ TEST_P(LruKEvictBatchTest, MatchesSequentialEvictsExactly) {
 
   std::vector<PageId> expected;
   while (auto v = sequential.Evict()) expected.push_back(*v);
-  ASSERT_EQ(expected.size(), 10u);  // 12 resident, 2 pinned.
+  ASSERT_EQ(expected.size(), 10u);  // 12 admitted, 2 removed.
 
   std::vector<PageId> batch;
   EXPECT_EQ(batched.EvictBatch(4, &batch), 4u);  // A prefix...
@@ -495,7 +490,6 @@ TEST_P(LruKEvictBatchTest, ConsumedMidSequenceMatchesEvictRestore) {
 
 INSTANTIATE_TEST_SUITE_P(AllVictimIndexes, LruKEvictBatchTest,
                          ::testing::Values(VictimIndex::kLazyHeap,
-                                           VictimIndex::kOrderedSet,
                                            VictimIndex::kLinear));
 
 }  // namespace

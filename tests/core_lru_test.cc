@@ -40,28 +40,6 @@ TEST(LruTest, ResidencyTracking) {
   EXPECT_EQ(lru.ResidentCount(), 0u);
 }
 
-TEST(LruTest, PinnedPagesAreSkipped) {
-  LruPolicy lru;
-  lru.Admit(1, AccessType::kRead);
-  lru.Admit(2, AccessType::kRead);
-  lru.SetEvictable(1, false);
-  EXPECT_EQ(lru.EvictableCount(), 1u);
-  EXPECT_EQ(lru.Evict(), std::optional<PageId>(2));
-  EXPECT_EQ(lru.Evict(), std::nullopt);  // Only the pinned page remains.
-  lru.SetEvictable(1, true);
-  EXPECT_EQ(lru.Evict(), std::optional<PageId>(1));
-}
-
-TEST(LruTest, PinPreservesRecencyPosition) {
-  LruPolicy lru;
-  lru.Admit(1, AccessType::kRead);
-  lru.Admit(2, AccessType::kRead);
-  lru.Admit(3, AccessType::kRead);
-  lru.SetEvictable(1, false);
-  lru.SetEvictable(1, true);  // Unpinning must not make page 1 "recent".
-  EXPECT_EQ(lru.Evict(), std::optional<PageId>(1));
-}
-
 TEST(LruTest, RemoveDropsPage) {
   LruPolicy lru;
   lru.Admit(1, AccessType::kRead);
@@ -69,26 +47,6 @@ TEST(LruTest, RemoveDropsPage) {
   lru.Remove(1);
   EXPECT_FALSE(lru.IsResident(1));
   EXPECT_EQ(lru.Evict(), std::optional<PageId>(2));
-}
-
-TEST(LruTest, RemovePinnedPageAdjustsCounts) {
-  LruPolicy lru;
-  lru.Admit(1, AccessType::kRead);
-  lru.SetEvictable(1, false);
-  lru.Remove(1);
-  EXPECT_EQ(lru.ResidentCount(), 0u);
-  EXPECT_EQ(lru.EvictableCount(), 0u);
-}
-
-TEST(LruTest, SetEvictableIsIdempotent) {
-  LruPolicy lru;
-  lru.Admit(1, AccessType::kRead);
-  lru.SetEvictable(1, true);
-  lru.SetEvictable(1, true);
-  EXPECT_EQ(lru.EvictableCount(), 1u);
-  lru.SetEvictable(1, false);
-  lru.SetEvictable(1, false);
-  EXPECT_EQ(lru.EvictableCount(), 0u);
 }
 
 TEST(LruTest, EvictFromEmpty) {

@@ -47,15 +47,6 @@ TEST(A0Test, UnknownPagesHaveZeroProbability) {
   EXPECT_EQ(a0.Evict(), std::optional<PageId>(99));
 }
 
-TEST(A0Test, PinningRespected) {
-  A0Policy a0({0.1, 0.9});
-  a0.Admit(0, AccessType::kRead);
-  a0.Admit(1, AccessType::kRead);
-  a0.SetEvictable(0, false);
-  EXPECT_EQ(a0.Evict(), std::optional<PageId>(1));
-  EXPECT_EQ(a0.Evict(), std::nullopt);
-}
-
 TEST(BeladyTest, EvictsFarthestFutureUse) {
   // Trace: 1 2 3 1 2 3 ... page order of next use after t=3 is 1,2,3.
   std::vector<PageId> trace = {1, 2, 3, 1, 2, 3};

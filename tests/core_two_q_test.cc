@@ -79,15 +79,6 @@ TEST(TwoQTest, GhostQueueIsBounded) {
   EXPECT_LE(q.A1outSize(), 2u);
 }
 
-TEST(TwoQTest, PinnedPagesAreNotEvicted) {
-  TwoQPolicy q(Opts(8));
-  q.Admit(1, AccessType::kRead);
-  q.Admit(2, AccessType::kRead);
-  q.SetEvictable(1, false);
-  EXPECT_EQ(q.Evict(), std::optional<PageId>(2));
-  EXPECT_EQ(q.Evict(), std::nullopt);
-}
-
 TEST(TwoQTest, RemoveFromEitherQueue) {
   TwoQPolicy q(Opts(8, /*kin=*/0.25, /*kout=*/1.0));
   q.Admit(1, AccessType::kRead);

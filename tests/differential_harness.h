@@ -142,11 +142,7 @@ class RecordingPolicy final : public ReplacementPolicy {
     inner_->Restore(p);
   }
   void Remove(PageId p) override { inner_->Remove(p); }
-  void SetEvictable(PageId p, bool evictable) override {
-    inner_->SetEvictable(p, evictable);
-  }
   size_t ResidentCount() const override { return inner_->ResidentCount(); }
-  size_t EvictableCount() const override { return inner_->EvictableCount(); }
   bool IsResident(PageId p) const override { return inner_->IsResident(p); }
   void ForEachResident(
       const std::function<void(PageId)>& visit) const override {

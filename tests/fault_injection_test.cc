@@ -18,9 +18,9 @@
 //    (plain, sharded) x (batch on/off): Zipfian workload with injected
 //    faults, then Heal() + FlushAll(), asserting no acknowledged write is
 //    ever lost, durability on the inner disk, pool/policy residency sync,
-//    pin-count hygiene, and that replaying the same (seed, schedule)
-//    reproduces the identical fault trace. A concurrent variant (TSan
-//    target) races faults against pin/unpin across shards.
+//    and that replaying the same (seed, schedule) reproduces the identical
+//    fault trace. A concurrent variant (TSan target) races faults against
+//    pin/unpin across shards.
 
 #include <algorithm>
 #include <atomic>
@@ -153,11 +153,7 @@ class RecordingLruK final : public ReplacementPolicy {
     inner_.Restore(p);
   }
   void Remove(PageId p) override { inner_.Remove(p); }
-  void SetEvictable(PageId p, bool evictable) override {
-    inner_.SetEvictable(p, evictable);
-  }
   size_t ResidentCount() const override { return inner_.ResidentCount(); }
-  size_t EvictableCount() const override { return inner_.EvictableCount(); }
   bool IsResident(PageId p) const override { return inner_.IsResident(p); }
   void ForEachResident(
       const std::function<void(PageId)>& visit) const override {
@@ -470,7 +466,6 @@ TEST_P(WriteBackRollbackTest, FailedWriteBackRollsBackEviction) {
   EXPECT_FALSE(pool.IsResident(b));
   EXPECT_TRUE(lruk->IsResident(a));
   EXPECT_EQ(lruk->ResidentCount(), 1u);
-  EXPECT_EQ(lruk->EvictableCount(), 1u);
   EXPECT_EQ(lruk->CurrentTime(), time_before);
   BufferPoolStats stats = pool.stats();
   EXPECT_EQ(stats.evictions, 0u);
@@ -501,14 +496,11 @@ TEST_P(WriteBackRollbackTest, FailedWriteBackRollsBackEviction) {
 
 INSTANTIATE_TEST_SUITE_P(AllVictimIndices, WriteBackRollbackTest,
                          ::testing::Values(VictimIndex::kLazyHeap,
-                                           VictimIndex::kOrderedSet,
                                            VictimIndex::kLinear),
                          [](const auto& info) {
                            switch (info.param) {
                              case VictimIndex::kLazyHeap:
                                return "LazyHeap";
-                             case VictimIndex::kOrderedSet:
-                               return "OrderedSet";
                              case VictimIndex::kLinear:
                                return "Linear";
                            }
@@ -746,12 +738,10 @@ SweepResult RunSweepPoint(const SweepPoint& point) {
   EXPECT_EQ(result.stats.hits + result.stats.misses,
             static_cast<uint64_t>(kSweepTraceLen));
 
-  // Pool <-> policy residency sync, pin hygiene, history consistency.
+  // Pool <-> policy residency sync and history consistency.
   auto check_shard = [&](BufferPool& shard) {
     auto& lruk = static_cast<LruKPolicy&>(shard.policy());
     EXPECT_EQ(shard.ResidentCount(), lruk.ResidentCount());
-    // Every frame is unpinned, so everything resident is evictable.
-    EXPECT_EQ(lruk.EvictableCount(), lruk.ResidentCount());
     EXPECT_GE(lruk.HistorySize(), lruk.ResidentCount());
     EXPECT_EQ(lruk.HistorySize(),
               lruk.ResidentCount() + lruk.NonResidentHistorySize());
@@ -908,12 +898,11 @@ TEST(FaultConcurrencyTest, ConcurrentFaultsPreserveShardInvariants) {
   EXPECT_GT(stats.retries, 0u);
   EXPECT_LE(pool.ResidentCount(), kCapacity);
 
-  // Shard <-> policy sync and pin hygiene after the storm.
+  // Shard <-> policy sync after the storm.
   for (size_t s = 0; s < pool.shard_count(); ++s) {
     BufferPool& shard = pool.shard(s);
     auto& lruk = static_cast<LruKPolicy&>(shard.policy());
     EXPECT_EQ(shard.ResidentCount(), lruk.ResidentCount()) << "shard " << s;
-    EXPECT_EQ(lruk.EvictableCount(), lruk.ResidentCount()) << "shard " << s;
     EXPECT_GE(lruk.HistorySize(), lruk.ResidentCount()) << "shard " << s;
   }
   for (PageId p : pages) {

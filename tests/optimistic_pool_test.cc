@@ -408,8 +408,8 @@ TEST(OptimisticHitPathTest, UnpinErrorsMatchLatchedCodes) {
 }
 
 TEST(OptimisticHitPathTest, PinCountsAreEvictionGroundTruth) {
-  // The pool never calls SetEvictable — AcquireFrame trusts the atomic
-  // pin counts. Pinned pages must survive eviction pressure, and a pool
+  // The policy never sees pins — AcquireFrame trusts the atomic pin
+  // counts. Pinned pages must survive eviction pressure, and a pool
   // with every frame pinned is exhausted.
   SimDiskManager disk;
   BufferPool pool(4, &disk,
