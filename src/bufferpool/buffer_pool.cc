@@ -1017,14 +1017,25 @@ Status BufferPool::FlushPage(PageId p) {
   if (!page_table_.Find(p, &f)) {
     return Status::NotFound("flush of non-resident page " + std::to_string(p));
   }
-  Page& page = frames_[f];
-  // On failure the dirty flag is untouched, so the write is retried by
-  // the next flush or eviction rather than silently dropped.
   // (An explicit flush may run while the caller — who requested it — still
   // writes the pinned page; coordinating that is the caller's job.)
-  LRUK_RETURN_IF_ERROR(DiskWrite(p, page.Data()));
-  page.dirty_.store(false, std::memory_order_relaxed);
-  return Status::Ok();
+  return WriteBackResidentLocked(p, frames_[f]);
+}
+
+Status BufferPool::WriteBackResidentLocked(PageId p, Page& page) {
+  // Claim the dirty bit BEFORE reading the image. Latch-free writers pin,
+  // write and unpin dirty without the latch; clearing the bit after the
+  // write would erase the mark of an update that landed mid-write, and the
+  // page would later be evicted clean with that update lost. Claimed
+  // first, such an update re-dirties the page for a later write-back, and
+  // the acquire pairs with UnpinPage's release so every update whose unpin
+  // came before the claim is in the image written here. On failure the
+  // bit is re-set, so the write is retried by the next flush or eviction
+  // rather than silently dropped.
+  page.dirty_.exchange(false, std::memory_order_acq_rel);
+  Status written = DiskWrite(p, page.Data());
+  if (!written.ok()) page.dirty_.store(true, std::memory_order_release);
+  return written;
 }
 
 Status BufferPool::FlushAll() {
@@ -1043,12 +1054,8 @@ Status BufferPool::FlushAll() {
   page_table_.ForEach([&](PageId p, FrameId frame) {
     Page& page = frames_[frame];
     if (!page.is_dirty()) return;
-    Status written = DiskWrite(p, page.Data());
-    if (written.ok()) {
-      page.dirty_.store(false, std::memory_order_relaxed);
-    } else if (first_error.ok()) {
-      first_error = written;
-    }
+    Status written = WriteBackResidentLocked(p, page);
+    if (!written.ok() && first_error.ok()) first_error = written;
   });
   // Parked victim images (failed write-behind, no frame to re-admit into)
   // are dirty pages too; the quiesce above guarantees the set is settled.

@@ -1,7 +1,9 @@
 #include "bufferpool/buffer_pool.h"
 
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <utility>
 
 #include "bufferpool/page_guard.h"
 #include "core/lru.h"
@@ -175,6 +177,86 @@ TEST(BufferPoolTest, FlushAllWritesEveryDirtyPage) {
     ASSERT_TRUE(disk.ReadPage(ids[i], buf).ok());
     EXPECT_EQ(buf[0], static_cast<char>('a' + i));
   }
+}
+
+// Runs `after_write` once, right after the next WritePage has stored its
+// image on the inner disk: the window in which a flush has persisted the
+// page but not yet settled its dirty bit.
+class WriteHookDiskManager final : public DiskManager {
+ public:
+  explicit WriteHookDiskManager(DiskManager* inner) : inner_(inner) {}
+
+  void ArmAfterWrite(std::function<void()> hook) {
+    after_write_ = std::move(hook);
+  }
+
+  Status ReadPage(PageId p, char* out) override {
+    return inner_->ReadPage(p, out);
+  }
+  Status WritePage(PageId p, const char* data) override {
+    Status written = inner_->WritePage(p, data);
+    if (after_write_) std::exchange(after_write_, nullptr)();
+    return written;
+  }
+  Result<PageId> AllocatePage() override { return inner_->AllocatePage(); }
+  Status DeallocatePage(PageId p) override {
+    return inner_->DeallocatePage(p);
+  }
+  uint64_t NumAllocatedPages() const override {
+    return inner_->NumAllocatedPages();
+  }
+
+ private:
+  DiskManager* inner_;
+  std::function<void()> after_write_;
+};
+
+// A page that stays pinned across a flush can be written and unpinned
+// dirty (latch-free) while the flush's disk write is in progress. That
+// update is not in the flushed image, so the page must stay dirty: a flush
+// that cleared the bit after its write would let the page be evicted clean
+// and the update be lost.
+void ExpectFlushKeepsConcurrentUpdate(bool flush_all) {
+  SimDiskManager inner;
+  WriteHookDiskManager disk(&inner);
+  BufferPool pool(2, &disk, MakeLru());
+  auto page = pool.NewPage();
+  ASSERT_TRUE(page.ok());
+  PageId p = (*page)->id();
+  std::strcpy((*page)->Data(), "before flush");
+  ASSERT_TRUE(pool.UnpinPage(p, true).ok());
+
+  auto writer = pool.FetchPage(p, AccessType::kWrite);
+  ASSERT_TRUE(writer.ok());
+  Status unpinned = Status::Ok();
+  disk.ArmAfterWrite([&] {
+    std::strcpy((*writer)->Data(), "during flush");
+    unpinned = pool.UnpinPage(p, true);
+  });
+  ASSERT_TRUE((flush_all ? pool.FlushAll() : pool.FlushPage(p)).ok());
+  ASSERT_TRUE(unpinned.ok());
+  char buf[kPageSize];
+  ASSERT_TRUE(inner.ReadPage(p, buf).ok());
+  EXPECT_STREQ(buf, "before flush");
+  EXPECT_TRUE((*writer)->is_dirty());
+
+  // Evict p: the update must reach the disk on the way out.
+  for (int i = 0; i < 2; ++i) {
+    auto filler = pool.NewPage();
+    ASSERT_TRUE(filler.ok());
+    ASSERT_TRUE(pool.UnpinPage((*filler)->id(), false).ok());
+  }
+  ASSERT_FALSE(pool.IsResident(p));
+  ASSERT_TRUE(inner.ReadPage(p, buf).ok());
+  EXPECT_STREQ(buf, "during flush");
+}
+
+TEST(BufferPoolTest, FlushPageKeepsAConcurrentUpdateDirty) {
+  ExpectFlushKeepsConcurrentUpdate(/*flush_all=*/false);
+}
+
+TEST(BufferPoolTest, FlushAllKeepsAConcurrentUpdateDirty) {
+  ExpectFlushKeepsConcurrentUpdate(/*flush_all=*/true);
 }
 
 TEST(BufferPoolTest, DeletePageRemovesEverywhere) {
